@@ -50,6 +50,8 @@ class GenerationBudget:
             v = getattr(self, name)
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,6 @@ class AvatarLook:
     body_bundle_id: str | None = None
     status: str = "draft"
     history: list[str] = field(default_factory=list)
-    last_report: VerificationReport | None = None
 
     def to_doc(self) -> dict:
         """Stable document form for judge payloads and pipeline output."""
@@ -335,14 +336,12 @@ def refine(
 
     Each fail report's edits apply in order, each one re-checked against
     the look invariants (and rolled back if it breaks them). A look that
-    never passes stays a draft carrying its final report.
+    never passes stays a draft.
     """
-    report: VerificationReport | None = None
     for _ in range(budget.max_refine_iters):
         report = VerificationReport.from_dict(judge.verify(look.to_doc()))
         if report.verdict == "pass":
             look.status = "verified"
-            look.last_report = report
             return look
         for edit in report.edits:
             before = dict(look.selections)
@@ -355,7 +354,6 @@ def refine(
                     f"rolled back {edit.action} on {edit.category_id}: {problems[0]}"
                 )
     look.status = "draft"
-    look.last_report = report
     return look
 
 
@@ -382,7 +380,6 @@ def generate_candidates(
     bundles: dict[str, str] | None = None,
     body_category: str | None = None,
     base_look: AvatarLook | None = None,
-    look_id_prefix: str = "look",
 ) -> list[AvatarLook]:
     """Diversified slate of refined looks under usage caps.
 
@@ -445,7 +442,7 @@ def generate_candidates(
         c for c in categories if c not in required_core
     ]
     for i in range(budget.n_candidates):
-        look = AvatarLook(look_id=f"{look_id_prefix}-{i:03d}")
+        look = AvatarLook(look_id=f"look-{i:03d}")
         target_bundle = rotation[i % len(rotation)] if rotation else None
         for cat in core_first:
             if not pools.get(cat):

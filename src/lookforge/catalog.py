@@ -124,15 +124,27 @@ class Taxonomy:
         return tax
 
 
+def write_doc(path: str | Path, doc: dict) -> None:
+    """Write one JSON document: indent 2, sorted keys, trailing newline.
+
+    Every JSON file the package writes goes through here, so identical
+    documents are byte-identical on disk (output documents embed the
+    sha256 of the config file this writes).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_taxonomy(path: str | Path) -> Taxonomy:
     with open(path, encoding="utf-8") as fh:
         return Taxonomy.from_dict(json.load(fh))
 
 
 def save_taxonomy(tax: Taxonomy, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tax.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_doc(path, tax.to_dict())
 
 
 @dataclass(frozen=True)
@@ -239,7 +251,7 @@ def _parse_record(doc: dict, taxonomy: Taxonomy, dimension: int | None) -> Asset
         )
     bundle = doc.get("bundle_id")
     if bundle is not None and not isinstance(bundle, str):
-        raise ValueError("bad_embedding: bundle_id must be a string when present")
+        raise ValueError("bad_bundle_id: bundle_id must be a string when present")
     return Asset(
         asset_id=asset_id,
         category_id=category_id,

@@ -15,15 +15,17 @@ stage-prefixed code, for example:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .assembly import GenerationBudget
-from .catalog import ingest_catalog, load_taxonomy
+from .catalog import Taxonomy, ingest_catalog, load_taxonomy, write_doc
 from .errors import PipelineError
 from .evalsuite import ABLATIONS, markdown_table, run_interference_suite
 from .evidence import load_evidence
@@ -169,16 +171,18 @@ def effective_timeout() -> float:
     if raw is None:
         return DEFAULT_HTTP_TIMEOUT
     timeout = float(raw)
-    if timeout <= 0:
+    if not math.isfinite(timeout) or timeout <= 0:
         raise ValueError(f"{ENV_JUDGE_TIMEOUT} must be positive, got {raw!r}")
     return timeout
 
 
-def write_doc(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_output(path: Path, cfg: RunConfig, body: dict) -> None:
+    """Write a stage output under the versioned, config-stamped envelope."""
+    write_doc(path, {
+        "schema_version": OUTPUT_SCHEMA_VERSION,
+        "config_sha256": cfg.config_sha256,
+        **body,
+    })
 
 
 def read_doc(path: Path) -> dict:
@@ -193,14 +197,22 @@ def _out_dir(args, cfg: RunConfig) -> Path:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    cfg = load_run_config(args.config)
-    taxonomy = load_taxonomy(_require_path(cfg, "taxonomy"))
-    catalog, report = ingest_catalog(_require_path(cfg, "catalog"), taxonomy)
+def stage_command(func):
+    """Give a stage command its run config and taxonomy, loaded once."""
+
+    @functools.wraps(func)
+    def run(args) -> int:
+        cfg = load_run_config(args.config)
+        return func(args, cfg, load_taxonomy(cfg.paths["taxonomy"]))
+
+    return run
+
+
+@stage_command
+def cmd_ingest(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
+    catalog, report = ingest_catalog(cfg.paths["catalog"], taxonomy)
     out = _out_dir(args, cfg) / "ingest_report.json"
-    write_doc(out, {
-        "schema_version": OUTPUT_SCHEMA_VERSION,
-        "config_sha256": cfg.config_sha256,
+    write_output(out, cfg, {
         "n_loaded": report.n_loaded,
         "n_rejected": report.n_rejected,
         "rejections": [
@@ -214,10 +226,9 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_build_index(args) -> int:
-    cfg = load_run_config(args.config)
-    taxonomy = load_taxonomy(_require_path(cfg, "taxonomy"))
-    catalog, _ = ingest_catalog(_require_path(cfg, "catalog"), taxonomy)
+@stage_command
+def cmd_build_index(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
+    catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
     index_dir = Path(args.out) if args.out else cfg.paths["index_dir"]
     index_dir.mkdir(parents=True, exist_ok=True)
     indices = build_indices(catalog)
@@ -231,9 +242,7 @@ def cmd_build_index(args) -> int:
             "n_assets": indices[cat].size,
             "sha256": hashlib.sha256(target.read_bytes()).hexdigest(),
         }
-    write_doc(index_dir / "manifest.json", {
-        "schema_version": OUTPUT_SCHEMA_VERSION,
-        "config_sha256": cfg.config_sha256,
+    write_output(index_dir / "manifest.json", cfg, {
         "dimension": catalog.dimension,
         "indices": entries,
     })
@@ -241,26 +250,20 @@ def cmd_build_index(args) -> int:
     return 0
 
 
-def cmd_route(args) -> int:
-    cfg = load_run_config(args.config)
-    taxonomy = load_taxonomy(_require_path(cfg, "taxonomy"))
+@stage_command
+def cmd_route(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     prompt = load_prompt(_require_path(cfg, "prompt"))
     advisor = build_advisor(cfg.advisor_spec, cfg.root, effective_timeout())
     plan = route(prompt, taxonomy, advisor=advisor)
     out = _out_dir(args, cfg) / "plan.json"
-    write_doc(out, {
-        "schema_version": OUTPUT_SCHEMA_VERSION,
-        "config_sha256": cfg.config_sha256,
-        "plan": plan.to_dict(),
-    })
+    write_output(out, cfg, {"plan": plan.to_dict()})
     print(f"routed to {', '.join(plan.target_categories)} -> {out}")
     return 0
 
 
-def cmd_retrieve(args) -> int:
-    cfg = load_run_config(args.config)
-    taxonomy = load_taxonomy(_require_path(cfg, "taxonomy"))
-    catalog, _ = ingest_catalog(_require_path(cfg, "catalog"), taxonomy)
+@stage_command
+def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
+    catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
     store = load_evidence(_require_path(cfg, "evidence"))
     out_dir = _out_dir(args, cfg)
     plan = RoutingPlan.from_dict(read_doc(out_dir / "plan.json")["plan"])
@@ -287,20 +290,15 @@ def cmd_retrieve(args) -> int:
         for cat, r in retrievals.items()
     }
     out = out_dir / "pools.json"
-    write_doc(out, {
-        "schema_version": OUTPUT_SCHEMA_VERSION,
-        "config_sha256": cfg.config_sha256,
-        "pools": pools_doc,
-    })
+    write_output(out, cfg, {"pools": pools_doc})
     sizes = ", ".join(f"{cat}:{len(r.pool)}" for cat, r in sorted(retrievals.items()))
     print(f"pooled candidates ({sizes}) -> {out}")
     return 0
 
 
-def cmd_assemble(args) -> int:
-    cfg = load_run_config(args.config)
-    taxonomy = load_taxonomy(_require_path(cfg, "taxonomy"))
-    catalog, _ = ingest_catalog(_require_path(cfg, "catalog"), taxonomy)
+@stage_command
+def cmd_assemble(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
+    catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
     out_dir = _out_dir(args, cfg)
     pools_doc = read_doc(out_dir / "pools.json")["pools"]
     pools = {
@@ -325,9 +323,7 @@ def cmd_assemble(args) -> int:
         gate_k=cfg.retrieval.gate_k,
     )
     out = out_dir / "look.json"
-    write_doc(out, {
-        "schema_version": OUTPUT_SCHEMA_VERSION,
-        "config_sha256": cfg.config_sha256,
+    write_output(out, cfg, {
         "winner": winner.to_doc(),
         "base_look": base.to_doc(),
         "candidates": [c.to_doc() for c in candidates],
@@ -350,17 +346,23 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    report = run_interference_suite(args.n, base_seed=args.seed, ablate=args.ablate)
-    sys.stdout.write(markdown_table([report]))
+    reports = [
+        run_interference_suite(args.n, base_seed=args.seed, ablate=arm)
+        for arm in args.ablate
+    ]
+    sys.stdout.write(markdown_table(reports))
     if args.out:
-        params = {"ablate": args.ablate, "n_scenarios": args.n, "base_seed": args.seed}
-        canonical = json.dumps(params, sort_keys=True).encode("utf-8")
-        write_doc(Path(args.out) / f"eval_{args.ablate}.json", {
-            "schema_version": OUTPUT_SCHEMA_VERSION,
-            "params": params,
-            "params_sha256": hashlib.sha256(canonical).hexdigest(),
-            "report": report.to_dict(),
-        })
+        for report in reports:
+            params = {
+                "ablate": report.ablation, "n_scenarios": args.n, "base_seed": args.seed,
+            }
+            canonical = json.dumps(params, sort_keys=True).encode("utf-8")
+            write_doc(Path(args.out) / f"eval_{report.ablation}.json", {
+                "schema_version": OUTPUT_SCHEMA_VERSION,
+                "params": params,
+                "params_sha256": hashlib.sha256(canonical).hexdigest(),
+                "report": report.to_dict(),
+            })
     return 0
 
 
@@ -398,8 +400,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("eval", help="run a seeded interference ablation suite")
-    p.add_argument("--ablate", choices=ABLATIONS, default="none")
+    p = sub.add_parser("eval", help="run seeded interference ablation suites")
+    p.add_argument(
+        "--ablate", nargs="+", choices=ABLATIONS, default=["none"],
+        help="one or more arms; each writes its own report",
+    )
     p.add_argument("--n", type=int, default=100, help="number of scenarios")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--out", default=None, help="directory for the report JSON")

@@ -44,10 +44,6 @@ class UnknownCategoryError(PipelineError):
     """A category id is not declared in the taxonomy."""
 
 
-class CategoryMismatchError(PipelineError):
-    """An operation mixed assets or queries across categories."""
-
-
 class InvalidTaxonomyError(PipelineError):
     """The taxonomy file violates its own structural rules."""
 

@@ -19,18 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assembly import AvatarLook, GenerationBudget, refine
 from .catalog import Taxonomy
 from .index import CategoryIndex
-from .judge import PassThroughJudge
 from .retrieval import Candidate, RetrievalConfig, build_pool, retrieve_concept_residual
 from .router import Concept, PromptSpec, route, route_naive
-from .synth import (
-    DEFAULT_LAMBDA,
-    CategorySpec,
-    SynthSpec,
-    generate_interference_scenario,
-)
+from .synth import CategorySpec, SynthSpec, generate_interference_scenario
 
 ABLATIONS = ("none", "suppression", "router", "scaffold")
 
@@ -48,7 +41,6 @@ class EvalReport:
     top1_accuracy: float
     pool_recall: float
     routed_coverage: float
-    mean_iterations: float
 
     def to_dict(self) -> dict:
         return {
@@ -57,23 +49,7 @@ class EvalReport:
             "top1_accuracy": self.top1_accuracy,
             "pool_recall": self.pool_recall,
             "routed_coverage": self.routed_coverage,
-            "mean_iterations": self.mean_iterations,
         }
-
-
-class _CountingJudge:
-    """Pass-through judge that counts verify calls."""
-
-    def __init__(self) -> None:
-        self._inner = PassThroughJudge()
-        self.verify_calls = 0
-
-    def verify(self, look_doc: dict) -> dict:
-        self.verify_calls += 1
-        return self._inner.verify(look_doc)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 def _eval_spec(seed: int, noise_sigma: float) -> SynthSpec:
@@ -108,30 +84,23 @@ def run_interference_suite(
     n_scenarios: int,
     base_seed: int = 0,
     ablate: str = "none",
-    *,
-    lam: float = DEFAULT_LAMBDA,
-    cfg: RetrievalConfig | None = None,
 ) -> EvalReport:
     """Fresh scenario per index i (seed = base_seed + i), aggregated metrics.
 
     top1_accuracy and pool_recall are end-to-end: a scenario whose target
-    category never gets routed scores zero on both. mean_iterations
-    averages verify rounds over the looks that were actually assembled.
+    category never gets routed scores zero on both.
     """
     if ablate not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablate!r}; pick from {ABLATIONS}")
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
-    cfg = cfg or RetrievalConfig()
+    cfg = RetrievalConfig()
 
     top1 = 0
     recall = 0
     routed = 0
-    iterations: list[int] = []
     for i in range(n_scenarios):
-        scn = generate_interference_scenario(
-            _eval_spec(base_seed + i, noise_sigma=0.3), lam=lam, cfg=cfg
-        )
+        scn = generate_interference_scenario(_eval_spec(base_seed + i, noise_sigma=0.3))
         truth = scn.truth
         taxonomy, prompt = _routing_fixture(
             truth.target_category, truth.interference_category
@@ -165,34 +134,23 @@ def run_interference_suite(
         if any(c.asset_id == truth.target_asset_id for c in pool):
             recall += 1
 
-        judge = _CountingJudge()
-        look = AvatarLook(
-            look_id=f"eval-{i:03d}",
-            selections={truth.target_category: pool[0].asset_id},
-        )
-        refine(look, judge, GenerationBudget(), {truth.target_category: pool})
-        iterations.append(judge.verify_calls)
-
     return EvalReport(
         ablation=ablate,
         n_scenarios=n_scenarios,
         top1_accuracy=top1 / n_scenarios,
         pool_recall=recall / n_scenarios,
         routed_coverage=routed / n_scenarios,
-        mean_iterations=sum(iterations) / len(iterations) if iterations else 0.0,
     )
 
 
 def markdown_table(reports: list[EvalReport]) -> str:
     header = (
-        "| ablation | scenarios | top-1 accuracy | pool recall "
-        "| routed coverage | mean iterations |\n"
-        "|---|---|---|---|---|---|\n"
+        "| ablation | scenarios | top-1 accuracy | pool recall | routed coverage |\n"
+        "|---|---|---|---|---|\n"
     )
     rows = [
         f"| {r.ablation} | {r.n_scenarios} | {r.top1_accuracy:.3f} "
-        f"| {r.pool_recall:.3f} | {r.routed_coverage:.3f} "
-        f"| {r.mean_iterations:.2f} |"
+        f"| {r.pool_recall:.3f} | {r.routed_coverage:.3f} |"
         for r in reports
     ]
     return header + "\n".join(rows) + "\n"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import VIEWS, Taxonomy
+from .catalog import VIEWS, Taxonomy, write_doc
 from .errors import MissingTextPriorError, NoViewsAvailableError
 from .vecmath import as_vector
 
@@ -57,16 +57,6 @@ class PartEvidence:
         return self.status in ("valid", "fallback_keyword")
 
 
-@dataclass(frozen=True)
-class ResolvedEvidence:
-    """Outcome of the part-or-global decision for one category."""
-
-    kind: str  # "part" or "global"
-    embedding: np.ndarray | None = None
-    source_view: str | None = None
-    status: str | None = None
-
-
 class EvidenceStore:
     """Evidence for one prompt: view globals, parts, and text priors."""
 
@@ -76,7 +66,6 @@ class EvidenceStore:
         self._parts: dict[str, PartEvidence] = {}
         self._text_priors: dict[str, np.ndarray] = {}
         self._dim: int | None = None
-        self._frozen = False
 
     # --- population ----------------------------------------------------------
 
@@ -86,18 +75,12 @@ class EvidenceStore:
             self._dim = int(v.shape[0])
         return v
 
-    def _check_mutable(self) -> None:
-        if self._frozen:
-            raise RuntimeError("evidence store is frozen")
-
     def add_view(self, view: str, embedding) -> None:
-        self._check_mutable()
         if view not in VIEWS:
             raise ValueError(f"unknown view {view!r}")
         self._views[view] = self._check_dim(embedding)
 
     def add_part(self, part: PartEvidence) -> None:
-        self._check_mutable()
         if part.embedding is not None:
             part = PartEvidence(
                 category_id=part.category_id,
@@ -108,12 +91,7 @@ class EvidenceStore:
         self._parts[part.category_id] = part
 
     def add_text_prior(self, category_id: str, embedding) -> None:
-        self._check_mutable()
         self._text_priors[category_id] = self._check_dim(embedding)
-
-    def freeze(self) -> EvidenceStore:
-        self._frozen = True
-        return self
 
     # --- access --------------------------------------------------------------
 
@@ -180,21 +158,15 @@ def select_views(
     return list(available), warning
 
 
-def resolve_part_or_global(category_id: str, store: EvidenceStore) -> ResolvedEvidence:
+def resolve_part_or_global(category_id: str, store: EvidenceStore) -> np.ndarray | None:
     """Decide whether retrieval may trust part evidence for a category.
 
-    Part evidence wins iff present with a usable status. Otherwise the
-    caller should fall back to global view evidence.
+    Part evidence wins iff present with a usable status; its embedding is
+    returned. ``None`` means the caller should fall back to global view
+    evidence alone.
     """
     part = store.part(category_id)
-    if part is not None and part.usable:
-        return ResolvedEvidence(
-            kind="part",
-            embedding=part.embedding,
-            source_view=part.source_view,
-            status=part.status,
-        )
-    return ResolvedEvidence(kind="global", status=part.status if part else None)
+    return part.embedding if part is not None and part.usable else None
 
 
 # --- file format --------------------------------------------------------------
@@ -221,9 +193,7 @@ def save_evidence(store: EvidenceStore, path: str | Path) -> None:
             c: [float(x) for x in v] for c, v in sorted(store.text_priors.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_doc(path, doc)
 
 
 def load_evidence(path: str | Path) -> EvidenceStore:

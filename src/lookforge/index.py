@@ -41,9 +41,6 @@ from .vecmath import as_vector, canonical_rows, normalize
 SNAPSHOT_MAGIC = b"LFIX"
 SNAPSHOT_VERSION = 1
 
-# Stored rows must stay unit length to this tolerance (float32 rounding).
-ROW_NORM_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SearchHit:
@@ -96,12 +93,6 @@ class CategoryIndex:
         view = self._matrix.view()
         view.flags.writeable = False
         return view
-
-    def max_row_norm_error(self) -> float:
-        if self.size == 0:
-            return 0.0
-        norms = np.linalg.norm(self._matrix.astype(np.float64), axis=1)
-        return float(np.max(np.abs(norms - 1.0)))
 
     def search(self, query, k: int) -> list[SearchHit]:
         """Top-``k`` assets by cosine against the normalized query.

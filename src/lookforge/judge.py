@@ -31,13 +31,13 @@ DEFAULT_HTTP_TIMEOUT = 10.0
 class ScriptedSource:
     """Replays pre-written responses, one queue per operation."""
 
-    def __init__(self, responses: dict | str | Path, *, cycle: bool | None = None):
+    def __init__(self, responses: dict | str | Path):
         if isinstance(responses, (str, Path)):
             with open(responses, encoding="utf-8") as fh:
                 responses = json.load(fh)
         if not isinstance(responses, dict):
             raise ValueError("scripted responses must be a JSON object")
-        self._cycle = bool(responses.get("cycle", False)) if cycle is None else cycle
+        self._cycle = bool(responses.get("cycle", False))
         self._queues: dict[str, list] = {}
         for op, seq in responses.items():
             if op == "cycle":

@@ -8,7 +8,6 @@ own; this module only wires them together and collects warnings.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from .assembly import (
@@ -24,9 +23,7 @@ from .evidence import EvidenceStore
 from .index import build_indices
 from .retrieval import Candidate, CategoryRetrieval, RetrievalConfig, retrieve_category
 from .router import PromptSpec, RoutingPlan, route
-from .synth import estimate_subspaces
-
-logger = logging.getLogger(__name__)
+from .vecmath import estimate_subspaces
 
 
 @dataclass

@@ -28,6 +28,9 @@ from .vecmath import CategorySubspace, fuse, normalize, suppress
 
 logger = logging.getLogger(__name__)
 
+# A suppressed residual at or below this norm has collapsed.
+RESIDUAL_COLLAPSE_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class RetrievalConfig:
@@ -36,7 +39,6 @@ class RetrievalConfig:
     branch_k: int = 40
     pool_k: int = 40
     gate_k: int = 20
-    residual_collapse_eps: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
@@ -51,8 +53,6 @@ class RetrievalConfig:
             raise ValueError(
                 f"gate_k ({self.gate_k}) cannot exceed pool_k ({self.pool_k})"
             )
-        if self.residual_collapse_eps <= 0:
-            raise ValueError("residual_collapse_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def retrieve_concept_residual(
         cid: sub for cid, sub in subspaces.items() if cid != index.category_id
     }
     residual = suppress(global_embedding, others)
-    collapsed = bool(np.linalg.norm(residual) <= cfg.residual_collapse_eps)
+    collapsed = bool(np.linalg.norm(residual) <= RESIDUAL_COLLAPSE_EPS)
     if collapsed:
         logger.warning(
             "residual for category %r collapsed; querying with text prior only",
@@ -161,10 +161,10 @@ def retrieve_category(
     warnings: list[str] = []
     t_c = store.text_prior(category_id)
 
-    resolved = resolve_part_or_global(category_id, store)
+    part_embedding = resolve_part_or_global(category_id, store)
     part_candidates: list[Candidate] = []
-    if resolved.kind == "part":
-        part_candidates = retrieve_part(index, resolved.embedding, t_c, cfg)
+    if part_embedding is not None:
+        part_candidates = retrieve_part(index, part_embedding, t_c, cfg)
 
     views, view_warning = select_views(category_id, store, taxonomy)
     if view_warning:
@@ -179,7 +179,7 @@ def retrieve_category(
     return CategoryRetrieval(
         category_id=category_id,
         pool=pool,
-        used_part_evidence=resolved.kind == "part",
+        used_part_evidence=part_embedding is not None,
         residual_collapsed=collapsed,
         source_view=source_view,
         warnings=warnings,

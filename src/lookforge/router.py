@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import Taxonomy
+from .catalog import Taxonomy, write_doc
 from .errors import AdvisorUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -68,6 +68,9 @@ class PromptSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> PromptSpec:
+        version = doc.get("schema_version", PROMPT_SCHEMA_VERSION)
+        if version != PROMPT_SCHEMA_VERSION:
+            raise ValueError(f"unsupported prompt schema version {version!r}")
         return cls(
             text=str(doc.get("text", "")),
             concepts=tuple(
@@ -83,9 +86,7 @@ def load_prompt(path: str | Path) -> PromptSpec:
 
 
 def save_prompt(spec: PromptSpec, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_doc(path, spec.to_dict())
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,6 @@ def route(
     spec: PromptSpec,
     taxonomy: Taxonomy,
     *,
-    keyword_table: dict[str, frozenset[str]] | None = None,
     advisor=None,
 ) -> RoutingPlan:
     """Produce the routing plan for one prompt.
@@ -209,7 +209,6 @@ def route(
     taxonomy and exclusion constraints; advisor failure degrades to a
     warning.
     """
-    table = keyword_table if keyword_table is not None else DEFAULT_MODIFIER_KEYWORDS
     warnings: list[str] = []
     provenance: dict[str, str] = {}
     # category -> concepts that brought it in, in prompt order
@@ -248,7 +247,7 @@ def route(
                 mods: list[str] = []
                 for concept in sources.get(cid, []):
                     mods.extend(concept.modifiers)
-                return modifier_support(cid, tuple(mods), table)
+                return modifier_support(cid, tuple(mods), DEFAULT_MODIFIER_KEYWORDS)
 
             scores = {c: support_of(c) for c in present}
             best = max(scores.values())

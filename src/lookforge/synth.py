@@ -19,18 +19,19 @@ as the index, independent scoring loop and sort.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .catalog import Asset, AssetCatalog, Taxonomy
+from .catalog import Asset, AssetCatalog, Taxonomy, export_catalog, save_taxonomy, write_doc
 from .errors import InfeasibleSpecError, ScenarioConstructionFailedError
+from .evidence import EvidenceStore, PartEvidence, save_evidence
 from .index import CategoryIndex
+from .pipeline import run_retrieval
 from .retrieval import RetrievalConfig, retrieve_concept_residual, retrieve_part
-from .vecmath import CategorySubspace, as_vector, canonical_rows, compute_category_subspace, normalize
-
-logger = logging.getLogger(__name__)
+from .router import Concept, PromptSpec, route, save_prompt
+from .vecmath import CategorySubspace, as_vector, canonical_rows, estimate_subspaces, normalize
 
 DEFAULT_NOISE_SIGMA = 0.3
 DEFAULT_LAMBDA = 1.5
@@ -265,42 +266,10 @@ class InterferenceScenario:
     attempts: int
 
 
-def estimate_subspaces(
-    catalog: AssetCatalog,
-    *,
-    rank: int | None = None,
-    variance_threshold: float = 0.90,
-    max_rank: int = 16,
-    center: bool = False,
-) -> dict[str, CategorySubspace]:
-    """Per-category subspaces estimated from catalog embeddings.
-
-    Categories without assets are skipped (logged), matching what the
-    pipeline can actually suppress.
-    """
-    out: dict[str, CategorySubspace] = {}
-    for cid in catalog.taxonomy.categories:
-        ids, rows = catalog.embedding_matrix(cid)
-        if not ids:
-            logger.info("category %r has no assets; no subspace", cid)
-            continue
-        out[cid] = compute_category_subspace(
-            cid,
-            rows,
-            rank=rank,
-            variance_threshold=variance_threshold,
-            max_rank=max_rank,
-            center=center,
-        )
-    return out
-
-
 def generate_interference_scenario(
     spec: SynthSpec,
     *,
     lam: float = DEFAULT_LAMBDA,
-    max_retries: int = MAX_SCENARIO_RETRIES,
-    cfg: RetrievalConfig | None = None,
 ) -> InterferenceScenario:
     """Catalog plus planted truth with verified recoverability.
 
@@ -317,10 +286,10 @@ def generate_interference_scenario(
         )
     if lam < 0:
         raise InfeasibleSpecError("lam must be non-negative")
-    cfg = cfg or RetrievalConfig()
+    cfg = RetrievalConfig()
     rng = np.random.default_rng(spec.seed)
 
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_SCENARIO_RETRIES + 1):
         catalog, bases = generate_catalog(spec, rng=rng)
         cat_ids = [c.category_id for c in spec.categories]
         target_cat = cat_ids[int(rng.integers(len(cat_ids)))]
@@ -378,7 +347,7 @@ def generate_interference_scenario(
         )
 
     raise ScenarioConstructionFailedError(
-        f"no valid scenario in {max_retries} attempts (seed {spec.seed}, lam {lam})"
+        f"no valid scenario in {MAX_SCENARIO_RETRIES} attempts (seed {spec.seed}, lam {lam})"
     )
 
 
@@ -390,8 +359,7 @@ PIPELINE_PROMPT_TEXT = (
 )
 
 
-def generate_pipeline_scenario(out_dir, seed: int = 0,
-                               max_retries: int = MAX_SCENARIO_RETRIES) -> dict:
+def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
     """Write a complete runnable scenario bundle into ``out_dir``.
 
     The bundle exercises the whole pipeline: an ambiguous concept that
@@ -401,14 +369,6 @@ def generate_pipeline_scenario(out_dir, seed: int = 0,
     ranks every planted asset first in its category, so ``truth.json``
     (also returned) is a guarantee rather than a hope.
     """
-    import json
-    from pathlib import Path
-
-    from .catalog import export_catalog, save_taxonomy
-    from .evidence import EvidenceStore, PartEvidence, save_evidence
-    from .pipeline import run_retrieval
-    from .router import Concept, PromptSpec, route, save_prompt
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -443,7 +403,7 @@ def generate_pipeline_scenario(out_dir, seed: int = 0,
         ),
     )
 
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_SCENARIO_RETRIES + 1):
         catalog, _ = generate_catalog(spec, rng=rng, taxonomy=taxonomy)
 
         planted: dict[str, str] = {}
@@ -489,7 +449,7 @@ def generate_pipeline_scenario(out_dir, seed: int = 0,
             break
     else:
         raise ScenarioConstructionFailedError(
-            f"no recoverable pipeline scenario in {max_retries} attempts (seed {seed})"
+            f"no recoverable pipeline scenario in {MAX_SCENARIO_RETRIES} attempts (seed {seed})"
         )
 
     judge_script = {
@@ -548,7 +508,5 @@ def generate_pipeline_scenario(out_dir, seed: int = 0,
     save_evidence(store, out / "evidence.json")
     for name, doc in (("judge.json", judge_script), ("config.json", config),
                       ("truth.json", truth)):
-        with open(out / name, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_doc(out / name, doc)
     return truth

@@ -6,7 +6,9 @@ raise instead of silently producing NaN.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,6 +19,11 @@ from .errors import (
     NonFiniteVectorError,
     ZeroVectorError,
 )
+
+if TYPE_CHECKING:
+    from .catalog import AssetCatalog
+
+logger = logging.getLogger(__name__)
 
 # Norms at or below this are treated as zero.
 ZERO_NORM_EPS = 1e-12
@@ -159,6 +166,36 @@ def compute_category_subspace(
     )
 
 
+def estimate_subspaces(
+    catalog: AssetCatalog,
+    *,
+    rank: int | None = None,
+    variance_threshold: float = 0.90,
+    max_rank: int = 16,
+    center: bool = False,
+) -> dict[str, CategorySubspace]:
+    """Per-category subspaces estimated from catalog embeddings.
+
+    Categories without assets are skipped (logged), matching what the
+    pipeline can actually suppress.
+    """
+    out: dict[str, CategorySubspace] = {}
+    for cid in catalog.taxonomy.categories:
+        ids, rows = catalog.embedding_matrix(cid)
+        if not ids:
+            logger.info("category %r has no assets; no subspace", cid)
+            continue
+        out[cid] = compute_category_subspace(
+            cid,
+            rows,
+            rank=rank,
+            variance_threshold=variance_threshold,
+            max_rank=max_rank,
+            center=center,
+        )
+    return out
+
+
 def suppress(g, others: dict[str, CategorySubspace]) -> np.ndarray:
     """Remove other categories' subspace components from a global embedding.
 
@@ -176,20 +213,6 @@ def suppress(g, others: dict[str, CategorySubspace]) -> np.ndarray:
             )
         r -= sub.project(r)
     return r
-
-
-@dataclass(frozen=True)
-class FusionWeights:
-    """Branch mixing weights: ``alpha`` for parts, ``beta`` for residuals."""
-
-    alpha: float = 0.7
-    beta: float = 0.7
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            w = getattr(self, name)
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {w}")
 
 
 def fuse(primary, text_prior, w: float) -> np.ndarray:

@@ -41,11 +41,10 @@ from lookforge.synth import (
     CategorySpec,
     SynthSpec,
     brute_force_rank,
-    estimate_subspaces,
     generate_catalog,
     generate_pipeline_scenario,
 )
-from lookforge.vecmath import CategorySubspace, normalize, suppress
+from lookforge.vecmath import CategorySubspace, estimate_subspaces, normalize, suppress
 
 _LINES: list[str] = []
 

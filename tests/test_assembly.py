@@ -42,6 +42,8 @@ def test_budget_validation():
         GenerationBudget(n_candidates=0)
     with pytest.raises(ValueError):
         GenerationBudget(batch_size=0)
+    with pytest.raises(ValueError):
+        GenerationBudget(batch_size=1)
 
 
 def test_edit_validation():
@@ -212,7 +214,6 @@ def test_refine_pass_first_try():
     look = AvatarLook("l", selections={"body": "b1"})
     out = refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
     assert out.status == "verified"
-    assert out.last_report.verdict == "pass"
     assert len(src.calls) == 1
 
 
@@ -297,7 +298,6 @@ def test_refine_exhausts_budget_and_stays_draft():
     out = refine(look, judge, GenerationBudget(max_refine_iters=3), BASE_POOLS,
                  required_core=("body",))
     assert out.status == "draft"
-    assert out.last_report.verdict == "fail"
     assert len(src.calls) == 3  # never more than the budget
 
 

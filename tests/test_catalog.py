@@ -75,6 +75,7 @@ def test_ingest_skips_bad_records_with_reasons():
             }
         )
     )
+    lines.append(line("a7", bundle_id=7))
     cat, report = ingest_catalog(lines, tax)
     assert report.n_loaded == 1
     reasons = [r.reason for r in report.rejections]
@@ -87,8 +88,9 @@ def test_ingest_skips_bad_records_with_reasons():
         "missing_field",
         "bad_embedding",
         "invalid_quality_flag",
+        "bad_bundle_id",
     ]
-    assert [r.line_no for r in report.rejections] == [1, 2, 4, 5, 6, 7, 8, 9]
+    assert [r.line_no for r in report.rejections] == [1, 2, 4, 5, 6, 7, 8, 9, 10]
 
 
 def test_ingest_dimension_mismatch_is_fatal():

@@ -15,6 +15,8 @@ from lookforge.cli import (
 from lookforge.judge import DEFAULT_HTTP_TIMEOUT
 from lookforge.synth import generate_pipeline_scenario
 
+DEMO_LOOK_SHA256 = "092c2b470c3ccaaa2ddcde27040866d31923ca5b9b619cb57c66ea33a6e9c6de"
+
 
 @pytest.fixture(scope="module")
 def bundle(tmp_path_factory):
@@ -52,9 +54,10 @@ class TestJudgeSpec:
         assert effective_timeout() == DEFAULT_HTTP_TIMEOUT
         monkeypatch.setenv(ENV_JUDGE_TIMEOUT, "2.5")
         assert effective_timeout() == 2.5
-        monkeypatch.setenv(ENV_JUDGE_TIMEOUT, "-1")
-        with pytest.raises(ValueError):
-            effective_timeout()
+        for bad in ("-1", "nan", "inf"):
+            monkeypatch.setenv(ENV_JUDGE_TIMEOUT, bad)
+            with pytest.raises(ValueError, match="must be positive"):
+                effective_timeout()
         monkeypatch.setenv(ENV_JUDGE_TIMEOUT, "soon")
         with pytest.raises(ValueError):
             effective_timeout()
@@ -182,6 +185,18 @@ class TestStageCommands:
         look = json.loads((root / "output" / "look.json").read_text())
         assert look["winner"]["selections"] == truth["planted_selections"]
 
+    def test_demo_look_fingerprint(self, tmp_path, capsys):
+        # the behaviour fingerprint of the seed-0 demo bundle: look.json
+        # embeds the config.json sha256, so this pins the bundle writer too
+        root = tmp_path / "demo"
+        assert main(["synth", "--out", str(root), "--seed", "0"]) == 0
+        cfg_arg = ["--config", str(root / "config.json")]
+        for command in ("ingest", "build-index", "route", "retrieve", "assemble"):
+            assert main([command, *cfg_arg]) == 0, capsys.readouterr()
+        capsys.readouterr()
+        digest = hashlib.sha256((root / "output" / "look.json").read_bytes()).hexdigest()
+        assert digest == DEMO_LOOK_SHA256
+
 
 class TestSynthAndEval:
     def test_synth_writes_bundle(self, tmp_path, capsys):
@@ -194,17 +209,23 @@ class TestSynthAndEval:
 
     def test_eval_prints_table_and_writes_report(self, tmp_path, capsys):
         assert main([
-            "eval", "--ablate", "suppression", "--n", "4", "--seed", "11",
+            "eval", "--ablate", "suppression", "none", "--n", "4", "--seed", "11",
             "--out", str(tmp_path),
         ]) == 0
         table = capsys.readouterr().out
         assert table.startswith("| ablation ")
+        rows = table.strip().splitlines()[2:]
+        assert [r.split("|")[1].strip() for r in rows] == ["suppression", "none"]
         assert "| suppression | 4 |" in table
         doc = json.loads((tmp_path / "eval_suppression.json").read_text())
+        assert doc["schema_version"] == 1
         assert doc["report"]["top1_accuracy"] == 0.0
         assert doc["params"] == {
             "ablate": "suppression", "n_scenarios": 4, "base_seed": 11,
         }
+        doc = json.loads((tmp_path / "eval_none.json").read_text())
+        assert doc["report"]["ablation"] == "none"
+        assert doc["params"]["ablate"] == "none"
 
     def test_eval_rejects_unknown_ablation(self, capsys):
         with pytest.raises(SystemExit):

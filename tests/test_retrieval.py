@@ -27,11 +27,11 @@ def test_config_defaults_and_validation():
     with pytest.raises(ValueError):
         RetrievalConfig(alpha=1.5)
     with pytest.raises(ValueError):
+        RetrievalConfig(beta=-0.1)
+    with pytest.raises(ValueError):
         RetrievalConfig(branch_k=0)
     with pytest.raises(ValueError):
         RetrievalConfig(gate_k=50, pool_k=40)
-    with pytest.raises(ValueError):
-        RetrievalConfig(residual_collapse_eps=0.0)
 
 
 # --- build_pool --------------------------------------------------------------

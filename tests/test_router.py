@@ -208,3 +208,10 @@ def test_prompt_file_round_trip(tmp_path):
     path = tmp_path / "prompt.json"
     save_prompt(spec, path)
     assert load_prompt(path) == spec
+
+
+def test_prompt_load_rejects_unknown_schema(tmp_path):
+    path = tmp_path / "prompt.json"
+    path.write_text('{"schema_version": 99, "text": "x"}')
+    with pytest.raises(ValueError, match="schema version"):
+        load_prompt(path)

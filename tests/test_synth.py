@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +17,12 @@ from lookforge.synth import (
     brute_force_ranking,
     build_assets,
     build_bases,
-    estimate_subspaces,
     generate_catalog,
     generate_interference_scenario,
     generate_pipeline_scenario,
     planted_rank,
 )
+from lookforge.vecmath import estimate_subspaces
 
 
 def small_spec(**kw):
@@ -343,3 +345,23 @@ class TestPipelineScenario:
         for cid, aid in truth["planted_selections"].items():
             assert result.winner.selections[cid] == aid
         assert result.winner.status == "verified"
+
+
+def test_only_synth_consumers_import_synth():
+    # synth is test-data code: the production pipeline must not depend on it
+    allowed = {"synth", "evalsuite", "cli"}
+    src = Path(__file__).resolve().parents[1] / "src" / "lookforge"
+    importers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [f"{node.module}.{a.name}" if node.module else a.name
+                          for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "synth" for n in names):
+                importers.add(path.stem)
+    assert importers <= allowed, sorted(importers - allowed)

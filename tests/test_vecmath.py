@@ -17,7 +17,6 @@ from lookforge.errors import (
 )
 from lookforge.vecmath import (
     CategorySubspace,
-    FusionWeights,
     canonical_rows,
     compute_category_subspace,
     cosine,
@@ -293,10 +292,3 @@ def test_fuse_output_unit_norm(v, w):
         return
     assert math.isclose(float(np.linalg.norm(out)), 1.0, rel_tol=1e-12)
 
-
-def test_fusion_weights_validation():
-    FusionWeights()
-    with pytest.raises(ValueError):
-        FusionWeights(alpha=1.5)
-    with pytest.raises(ValueError):
-        FusionWeights(beta=-0.1)
