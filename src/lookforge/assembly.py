@@ -19,7 +19,7 @@ checked against the pool, exclusion, and core-category invariants.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import BudgetInfeasibleError, MissingCoreCategoryError
 from .retrieval import Candidate
@@ -39,15 +39,7 @@ class GenerationBudget:
     batch_size: int = 4
 
     def __post_init__(self) -> None:
-        for name in (
-            "n_candidates",
-            "per_asset_cap",
-            "per_bundle_cap",
-            "bundle_rotation",
-            "max_refine_iters",
-            "batch_size",
-        ):
-            v = getattr(self, name)
+        for name, v in asdict(self).items():
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
         if self.batch_size < 2:
@@ -65,9 +57,13 @@ class Edit:
             raise ValueError(f"unknown edit action {self.action!r}")
         if self.action in ("replace", "add") and not self.asset_id:
             raise ValueError(f"{self.action} edit requires an asset_id")
+        if self.asset_id is not None and not isinstance(self.asset_id, str):
+            raise ValueError(f"asset_id must be a string, got {self.asset_id!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> Edit:
+        if not isinstance(doc, dict):
+            raise ValueError("edit is not an object")
         return cls(
             action=str(doc.get("action", "")),
             category_id=str(doc.get("category_id", "")),
@@ -86,15 +82,24 @@ class VerificationReport:
     verdict: str
     issues: tuple[Issue, ...] = ()
     edits: tuple[Edit, ...] = ()
+    # judge edits that did not parse, each as "<edit>: <reason>"
+    rejected_edits: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.verdict not in ("pass", "fail"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "fail" and not self.issues and not self.edits:
+        if self.verdict == "fail" and not (self.issues or self.edits or self.rejected_edits):
             raise ValueError("fail report must carry issues or edits")
 
     @classmethod
     def from_dict(cls, doc: dict) -> VerificationReport:
+        edits: list[Edit] = []
+        rejected: list[str] = []
+        for raw in doc.get("edits", []):
+            try:
+                edits.append(Edit.from_dict(raw))
+            except ValueError as exc:
+                rejected.append(f"{raw!r}: {exc}")
         return cls(
             verdict=str(doc.get("verdict", "")),
             issues=tuple(
@@ -104,7 +109,8 @@ class VerificationReport:
                 )
                 for i in doc.get("issues", [])
             ),
-            edits=tuple(Edit.from_dict(e) for e in doc.get("edits", [])),
+            edits=tuple(edits),
+            rejected_edits=tuple(rejected),
         )
 
 
@@ -335,14 +341,17 @@ def refine(
     """Verify/edit loop: at most ``max_refine_iters`` judge verifications.
 
     Each fail report's edits apply in order, each one re-checked against
-    the look invariants (and rolled back if it breaks them). A look that
-    never passes stays a draft.
+    the look invariants (and rolled back if it breaks them). Edits that do
+    not parse are skipped and noted in the history. A look that never
+    passes stays a draft.
     """
     for _ in range(budget.max_refine_iters):
         report = VerificationReport.from_dict(judge.verify(look.to_doc()))
         if report.verdict == "pass":
             look.status = "verified"
             return look
+        for rejected in report.rejected_edits:
+            look.history.append(f"skipped malformed edit {rejected}")
         for edit in report.edits:
             before = dict(look.selections)
             if not _apply_edit(look, edit, pools, exclusion_groups, required_core):

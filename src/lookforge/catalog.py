@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -124,23 +125,40 @@ class Taxonomy:
         return tax
 
 
+def read_doc(path: str | Path) -> dict:
+    """Read one JSON document; every JSON file the package reads goes through here."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_doc(path: str | Path, doc: dict) -> None:
     """Write one JSON document: indent 2, sorted keys, trailing newline.
 
     Every JSON file the package writes goes through here, so identical
     documents are byte-identical on disk (output documents embed the
-    sha256 of the config file this writes).
+    sha256 of the config file this writes). A document that fails to
+    serialize leaves any previous file in place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    replace_file(path, text.encode("utf-8"))
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then ``os.replace`` it,
+    so a reader finds the old file or the new one, never a partial write."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    with open(path, encoding="utf-8") as fh:
-        return Taxonomy.from_dict(json.load(fh))
+    return Taxonomy.from_dict(read_doc(path))
 
 
 def save_taxonomy(tax: Taxonomy, path: str | Path) -> None:
@@ -167,6 +185,18 @@ class IngestReport:
         self.rejections.append(RejectedRecord(line_no, reason, detail))
         logger.warning("catalog line %d rejected (%s): %s", line_no, reason, detail)
 
+    def to_dict(self, catalog: AssetCatalog) -> dict:
+        """The ingest_report.json body for this report and the catalog it loaded."""
+        return {
+            "n_loaded": self.n_loaded,
+            "n_rejected": self.n_rejected,
+            "rejections": [asdict(r) for r in self.rejections],
+            "dimension": catalog.dimension,
+            "categories": {
+                c: len(catalog.assets_of(c)) for c in catalog.taxonomy.categories
+            },
+        }
+
 
 class AssetCatalog:
     """In-memory asset store keyed by asset id, grouped by category."""
@@ -177,14 +207,8 @@ class AssetCatalog:
         self._assets: dict[str, Asset] = {}
         self._by_category: dict[str, list[str]] = {c: [] for c in taxonomy.categories}
 
-    def __len__(self) -> int:
-        return len(self._assets)
-
     def __contains__(self, asset_id: str) -> bool:
         return asset_id in self._assets
-
-    def get(self, asset_id: str) -> Asset:
-        return self._assets[asset_id]
 
     def add(self, asset: Asset) -> None:
         if asset.category_id not in self._by_category:

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .assembly import GenerationBudget
-from .catalog import Taxonomy, ingest_catalog, load_taxonomy, write_doc
+from .catalog import Taxonomy, ingest_catalog, load_taxonomy, read_doc, write_doc
 from .errors import PipelineError
 from .evalsuite import ABLATIONS, markdown_table, run_interference_suite
 from .evidence import load_evidence
-from .index import CategoryIndex, build_indices
+from .index import MANIFEST_FILE, build_indices, load_snapshots, save_snapshots
 from .judge import (
     DEFAULT_HTTP_TIMEOUT,
     AdvisorClient,
@@ -39,8 +39,8 @@ from .judge import (
     ScriptedSource,
 )
 from .pipeline import SubspaceParams, bundle_map, run_assembly, run_retrieval
-from .retrieval import Candidate, RetrievalConfig
-from .router import RoutingPlan, load_prompt, route
+from .retrieval import RetrievalConfig, pools_from_dict, pools_to_dict
+from .router import load_prompt, plan_from_dict, plan_to_dict, route
 from .synth import generate_pipeline_scenario
 
 RUN_CONFIG_SCHEMA_VERSION = 1
@@ -185,11 +185,6 @@ def write_output(path: Path, cfg: RunConfig, body: dict) -> None:
     })
 
 
-def read_doc(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _out_dir(args, cfg: RunConfig) -> Path:
     return Path(args.out) if args.out else cfg.paths["output_dir"]
 
@@ -212,16 +207,7 @@ def stage_command(func):
 def cmd_ingest(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     catalog, report = ingest_catalog(cfg.paths["catalog"], taxonomy)
     out = _out_dir(args, cfg) / "ingest_report.json"
-    write_output(out, cfg, {
-        "n_loaded": report.n_loaded,
-        "n_rejected": report.n_rejected,
-        "rejections": [
-            {"line_no": r.line_no, "reason": r.reason, "detail": r.detail}
-            for r in report.rejections
-        ],
-        "dimension": catalog.dimension,
-        "categories": {c: len(catalog.assets_of(c)) for c in taxonomy.categories},
-    })
+    write_output(out, cfg, report.to_dict(catalog))
     print(f"loaded {report.n_loaded} assets, rejected {report.n_rejected} -> {out}")
     return 0
 
@@ -230,23 +216,10 @@ def cmd_ingest(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
 def cmd_build_index(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
     index_dir = Path(args.out) if args.out else cfg.paths["index_dir"]
-    index_dir.mkdir(parents=True, exist_ok=True)
     indices = build_indices(catalog)
-    entries: dict[str, dict] = {}
-    for cat in sorted(indices):
-        filename = f"{cat}.idx"
-        target = index_dir / filename
-        indices[cat].save(target)
-        entries[cat] = {
-            "file": filename,
-            "n_assets": indices[cat].size,
-            "sha256": hashlib.sha256(target.read_bytes()).hexdigest(),
-        }
-    write_output(index_dir / "manifest.json", cfg, {
-        "dimension": catalog.dimension,
-        "indices": entries,
-    })
-    print(f"built {len(entries)} indices -> {index_dir}")
+    manifest = save_snapshots(indices, index_dir, catalog.dimension)
+    write_output(index_dir / MANIFEST_FILE, cfg, manifest)
+    print(f"built {len(indices)} indices -> {index_dir}")
     return 0
 
 
@@ -256,7 +229,7 @@ def cmd_route(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     advisor = build_advisor(cfg.advisor_spec, cfg.root, effective_timeout())
     plan = route(prompt, taxonomy, advisor=advisor)
     out = _out_dir(args, cfg) / "plan.json"
-    write_output(out, cfg, {"plan": plan.to_dict()})
+    write_output(out, cfg, plan_to_dict(plan))
     print(f"routed to {', '.join(plan.target_categories)} -> {out}")
     return 0
 
@@ -266,31 +239,14 @@ def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
     store = load_evidence(_require_path(cfg, "evidence"))
     out_dir = _out_dir(args, cfg)
-    plan = RoutingPlan.from_dict(read_doc(out_dir / "plan.json")["plan"])
-    index_dir = cfg.paths["index_dir"]
-    indices = {
-        cat: CategoryIndex.load(index_dir / f"{cat}.idx")
-        for cat in plan.target_categories
-    }
+    plan = plan_from_dict(read_doc(out_dir / "plan.json"))
+    indices = load_snapshots(cfg.paths["index_dir"], plan.target_categories)
     retrievals = run_retrieval(
         plan, catalog, store, taxonomy, cfg.retrieval,
         subspace_params=cfg.subspace, indices=indices,
     )
-    pools_doc = {
-        cat: {
-            "pool": [
-                {"asset_id": c.asset_id, "score": float(c.score), "source": c.source}
-                for c in r.pool
-            ],
-            "used_part_evidence": r.used_part_evidence,
-            "residual_collapsed": r.residual_collapsed,
-            "source_view": r.source_view,
-            "warnings": list(r.warnings),
-        }
-        for cat, r in retrievals.items()
-    }
     out = out_dir / "pools.json"
-    write_output(out, cfg, {"pools": pools_doc})
+    write_output(out, cfg, pools_to_dict(retrievals))
     sizes = ", ".join(f"{cat}:{len(r.pool)}" for cat, r in sorted(retrievals.items()))
     print(f"pooled candidates ({sizes}) -> {out}")
     return 0
@@ -300,21 +256,14 @@ def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
 def cmd_assemble(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
     out_dir = _out_dir(args, cfg)
-    pools_doc = read_doc(out_dir / "pools.json")["pools"]
-    pools = {
-        cat: [
-            Candidate(str(c["asset_id"]), float(c["score"]), str(c["source"]))
-            for c in entry["pool"]
-        ]
-        for cat, entry in pools_doc.items()
-    }
+    retrievals = pools_from_dict(read_doc(out_dir / "pools.json"))
     judge = build_judge(
         effective_judge_spec(args.judge, cfg.judge_spec),
         cfg.root,
         effective_timeout(),
     )
-    filtered, base, candidates, winner, warnings = run_assembly(
-        pools,
+    result = run_assembly(
+        retrievals,
         judge,
         cfg.budget,
         taxonomy=taxonomy,
@@ -323,16 +272,8 @@ def cmd_assemble(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
         gate_k=cfg.retrieval.gate_k,
     )
     out = out_dir / "look.json"
-    write_output(out, cfg, {
-        "winner": winner.to_doc(),
-        "base_look": base.to_doc(),
-        "candidates": [c.to_doc() for c in candidates],
-        "gated_pools": {
-            cat: [c.asset_id for c in cands] for cat, cands in filtered.items()
-        },
-        "warnings": list(warnings),
-    })
-    print(f"winner {winner.look_id} ({winner.status}) -> {out}")
+    write_output(out, cfg, result.to_dict())
+    print(f"winner {result.winner.look_id} ({result.winner.status}) -> {out}")
     return 0
 
 

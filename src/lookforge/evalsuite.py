@@ -17,7 +17,7 @@ its failures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .catalog import Taxonomy
 from .index import CategoryIndex
@@ -43,13 +43,7 @@ class EvalReport:
     routed_coverage: float
 
     def to_dict(self) -> dict:
-        return {
-            "ablation": self.ablation,
-            "n_scenarios": self.n_scenarios,
-            "top1_accuracy": self.top1_accuracy,
-            "pool_recall": self.pool_recall,
-            "routed_coverage": self.routed_coverage,
-        }
+        return asdict(self)
 
 
 def _eval_spec(seed: int, noise_sigma: float) -> SynthSpec:

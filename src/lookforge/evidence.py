@@ -8,14 +8,13 @@ crop from a failed detection instead of guessing from missing fields.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import VIEWS, Taxonomy, write_doc
+from .catalog import VIEWS, Taxonomy, read_doc, write_doc
 from .errors import MissingTextPriorError, NoViewsAvailableError
 from .vecmath import as_vector
 
@@ -96,10 +95,6 @@ class EvidenceStore:
     # --- access --------------------------------------------------------------
 
     @property
-    def dim(self) -> int | None:
-        return self._dim
-
-    @property
     def available_views(self) -> tuple[str, ...]:
         return tuple(v for v in VIEWS if v in self._views)
 
@@ -120,9 +115,6 @@ class EvidenceStore:
             raise MissingTextPriorError(
                 f"no text prior for category {category_id!r}"
             ) from None
-
-    def has_text_prior(self, category_id: str) -> bool:
-        return category_id in self._text_priors
 
     @property
     def text_priors(self) -> dict[str, np.ndarray]:
@@ -197,8 +189,7 @@ def save_evidence(store: EvidenceStore, path: str | Path) -> None:
 
 
 def load_evidence(path: str | Path) -> EvidenceStore:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_doc(path)
     version = doc.get("schema_version", EVIDENCE_SCHEMA_VERSION)
     if version != EVIDENCE_SCHEMA_VERSION:
         raise ValueError(f"unsupported evidence schema version {version!r}")

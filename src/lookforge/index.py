@@ -20,6 +20,9 @@ Snapshot layout (little-endian), version 1:
 
 Loading verifies magic, version, and checksum before parsing the body, so
 a corrupted file never yields a silently wrong index.
+
+A snapshot directory holds one ``<category>.idx`` per category and a
+``manifest.json`` listing each snapshot's file, asset count and sha256.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .catalog import replace_file
 from .errors import (
     ChecksumMismatchError,
     DimensionMismatchError,
@@ -40,6 +44,7 @@ from .vecmath import as_vector, canonical_rows, normalize
 
 SNAPSHOT_MAGIC = b"LFIX"
 SNAPSHOT_VERSION = 1
+MANIFEST_FILE = "manifest.json"
 
 
 @dataclass(frozen=True)
@@ -126,10 +131,7 @@ class CategoryIndex:
             body += struct.pack("<H", len(raw)) + raw
         body += np.ascontiguousarray(self._matrix, dtype="<f4").tobytes()
         digest = hashlib.sha256(bytes(body)).digest()
-        with open(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC)
-            fh.write(body)
-            fh.write(digest)
+        replace_file(Path(path), SNAPSHOT_MAGIC + bytes(body) + digest)
 
     @classmethod
     def load(cls, path: str | Path) -> CategoryIndex:
@@ -185,3 +187,25 @@ def build_indices(catalog, categories: list[str] | None = None) -> dict[str, Cat
         else:
             out[cid] = CategoryIndex(cid, [], dimension=catalog.dimension or 0)
     return out
+
+
+def save_snapshots(
+    indices: dict[str, CategoryIndex], index_dir: str | Path, dimension: int | None
+) -> dict:
+    """Write one snapshot per index into ``index_dir``; returns the manifest body."""
+    index_dir = Path(index_dir)
+    index_dir.mkdir(parents=True, exist_ok=True)
+    entries: dict[str, dict] = {}
+    for cat in sorted(indices):
+        target = index_dir / f"{cat}.idx"
+        indices[cat].save(target)
+        entries[cat] = {
+            "file": target.name,
+            "n_assets": indices[cat].size,
+            "sha256": hashlib.sha256(target.read_bytes()).hexdigest(),
+        }
+    return {"dimension": dimension, "indices": entries}
+
+
+def load_snapshots(index_dir: str | Path, categories) -> dict[str, CategoryIndex]:
+    return {cat: CategoryIndex.load(Path(index_dir) / f"{cat}.idx") for cat in categories}

@@ -13,12 +13,14 @@ to repeat responses instead.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import urllib.error
 import urllib.request
 from pathlib import Path
 
+from .catalog import read_doc
 from .errors import AdvisorUnavailableError, JudgeUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -33,8 +35,7 @@ class ScriptedSource:
 
     def __init__(self, responses: dict | str | Path):
         if isinstance(responses, (str, Path)):
-            with open(responses, encoding="utf-8") as fh:
-                responses = json.load(fh)
+            responses = read_doc(responses)
         if not isinstance(responses, dict):
             raise ValueError("scripted responses must be a JSON object")
         self._cycle = bool(responses.get("cycle", False))
@@ -52,18 +53,17 @@ class ScriptedSource:
         queue = self._queues.get(op)
         if not queue:
             raise JudgeUnavailableError(f"scripted source has no response for {op!r}")
+        resp = queue.pop(0)
         if self._cycle:
-            resp = queue[0]
-            self._queues[op] = queue[1:] + [queue[0]]
-        else:
-            resp = queue.pop(0)
+            queue.append(resp)
         if not isinstance(resp, dict):
             raise JudgeUnavailableError(f"scripted response for {op!r} is not an object")
         return resp
 
 
 class HttpSource:
-    """POSTs ``{"op": ..., "payload": ...}`` as JSON; retries once."""
+    """POSTs ``{"op": ..., "payload": ...}`` as JSON; retries a transport
+    failure, a 5xx or an unreadable body once, and a 4xx never."""
 
     def __init__(self, url: str, timeout: float = DEFAULT_HTTP_TIMEOUT):
         self.url = url
@@ -84,10 +84,14 @@ class HttpSource:
                         f"judge endpoint returned a non-object for {op!r}"
                     )
                 return doc
-            except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+            except urllib.error.HTTPError as exc:
                 last_error = exc
-                if attempt == 0:
-                    logger.warning("judge request %r failed (%s); retrying once", op, exc)
+                if exc.code < 500:
+                    break
+            except (OSError, http.client.HTTPException, ValueError) as exc:
+                last_error = exc
+            if attempt == 0:
+                logger.warning("judge request %r failed (%s); retrying once", op, last_error)
         raise JudgeUnavailableError(f"judge endpoint failed for {op!r}: {last_error}")
 
 
@@ -107,10 +111,7 @@ class JudgeClient:
     def filter_grid(self, category_id: str, candidates) -> list[str]:
         payload = {
             "category_id": category_id,
-            "candidates": [
-                {"asset_id": c.asset_id, "score": c.score, "source": c.source}
-                for c in candidates
-            ],
+            "candidates": [c.to_dict() for c in candidates],
         }
         resp = self._source.request("filter_grid", payload)
         keep = resp.get("keep")

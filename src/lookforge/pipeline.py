@@ -4,11 +4,12 @@ Order of operations: route the prompt, index the routed categories,
 estimate suppression subspaces from the whole catalog, retrieve pooled
 candidates per category, gate them through the judge, assemble and refine
 a slate, and crown a tournament winner. Each stage is importable on its
-own; this module only wires them together and collects warnings.
+own; this module only wires them together. :class:`AssemblyResult` owns
+the look.json format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .assembly import (
     AvatarLook,
@@ -27,14 +28,35 @@ from .vecmath import estimate_subspaces
 
 
 @dataclass
-class PipelineResult:
-    plan: RoutingPlan
-    retrievals: dict[str, CategoryRetrieval]
+class AssemblyResult:
+    """Gated pools, base look, refined slate and winner of one assembly."""
+
     filtered_pools: dict[str, list[Candidate]]
     base_look: AvatarLook
     candidates: list[AvatarLook]
     winner: AvatarLook
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
+
+    def to_dict(self) -> dict:
+        """The look.json body."""
+        return {
+            "winner": self.winner.to_doc(),
+            "base_look": self.base_look.to_doc(),
+            "candidates": [c.to_doc() for c in self.candidates],
+            "gated_pools": {
+                cat: [c.asset_id for c in cands] for cat, cands in self.filtered_pools.items()
+            },
+            "warnings": list(self.warnings),
+        }
+
+
+@dataclass
+class PipelineResult(AssemblyResult):
+    """An assembly plus the plan and retrievals it came from; their
+    warnings stay on ``plan`` and each retrieval."""
+
+    plan: RoutingPlan
+    retrievals: dict[str, CategoryRetrieval]
 
 
 @dataclass(frozen=True)
@@ -70,13 +92,7 @@ def run_retrieval(
     """
     if indices is None:
         indices = build_indices(catalog, list(plan.target_categories))
-    subspaces = estimate_subspaces(
-        catalog,
-        rank=subspace_params.rank,
-        variance_threshold=subspace_params.variance_threshold,
-        max_rank=subspace_params.max_rank,
-        center=subspace_params.center,
-    )
+    subspaces = estimate_subspaces(catalog, **asdict(subspace_params))
     out: dict[str, CategoryRetrieval] = {}
     for cat in plan.target_categories:
         out[cat] = retrieve_category(
@@ -86,7 +102,7 @@ def run_retrieval(
 
 
 def run_assembly(
-    pools: dict[str, list[Candidate]],
+    retrievals: dict[str, CategoryRetrieval],
     judge,
     budget: GenerationBudget,
     *,
@@ -94,7 +110,8 @@ def run_assembly(
     bundles: dict[str, str],
     body_category: str | None,
     gate_k: int,
-) -> tuple[dict[str, list[Candidate]], AvatarLook, list[AvatarLook], AvatarLook, list[str]]:
+) -> AssemblyResult:
+    pools = {cat: r.pool for cat, r in retrievals.items()}
     filtered, warnings = filter_pools(pools, judge, gate_k)
     base = assemble_initial(
         filtered,
@@ -116,7 +133,7 @@ def run_assembly(
         base_look=base,
     )
     winner = tournament(candidates, judge, budget.batch_size)
-    return filtered, base, candidates, winner, warnings
+    return AssemblyResult(filtered, base, candidates, winner, warnings)
 
 
 def run_pipeline(
@@ -136,8 +153,8 @@ def run_pipeline(
     retrievals = run_retrieval(
         plan, catalog, store, taxonomy, retrieval_cfg, subspace_params
     )
-    filtered, base, candidates, winner, warnings = run_assembly(
-        {cat: r.pool for cat, r in retrievals.items()},
+    assembly = run_assembly(
+        retrievals,
         judge,
         budget,
         taxonomy=taxonomy,
@@ -145,16 +162,4 @@ def run_pipeline(
         body_category=body_category,
         gate_k=retrieval_cfg.gate_k,
     )
-    all_warnings = list(plan.warnings)
-    for r in retrievals.values():
-        all_warnings.extend(r.warnings)
-    all_warnings.extend(warnings)
-    return PipelineResult(
-        plan=plan,
-        retrievals=retrievals,
-        filtered_pools=filtered,
-        base_look=base,
-        candidates=candidates,
-        winner=winner,
-        warnings=all_warnings,
-    )
+    return PipelineResult(**vars(assembly), plan=plan, retrievals=retrievals)

@@ -17,7 +17,7 @@ rather than searching with noise.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,14 @@ class Candidate:
     score: float
     source: str  # "part", "concept_residual", or "both"
 
+    def to_dict(self) -> dict:
+        """One ranked entry, as pools.json and judge grid payloads carry it."""
+        return {"asset_id": self.asset_id, "score": float(self.score), "source": self.source}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> Candidate:
+        return cls(str(doc["asset_id"]), float(doc["score"]), str(doc["source"]))
+
 
 @dataclass
 class CategoryRetrieval:
@@ -72,6 +80,29 @@ class CategoryRetrieval:
     residual_collapsed: bool
     source_view: str | None
     warnings: list[str] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        """The category's pools.json entry; the category id is its key."""
+        doc = asdict(self)
+        del doc["category_id"]
+        doc["pool"] = [c.to_dict() for c in self.pool]
+        return doc
+
+    @classmethod
+    def from_dict(cls, category_id: str, doc: dict) -> CategoryRetrieval:
+        pool = [Candidate.from_dict(c) for c in doc["pool"]]
+        return cls(category_id, **{**doc, "pool": pool})
+
+
+def pools_to_dict(retrievals: dict[str, CategoryRetrieval]) -> dict:
+    """The pools.json body: one entry per routed category."""
+    return {"pools": {cat: r.to_dict() for cat, r in retrievals.items()}}
+
+
+def pools_from_dict(doc: dict) -> dict[str, CategoryRetrieval]:
+    return {
+        cat: CategoryRetrieval.from_dict(cat, entry) for cat, entry in doc["pools"].items()
+    }
 
 
 def _to_candidates(hits: list[SearchHit], source: str) -> list[Candidate]:

@@ -7,12 +7,11 @@ instead of being guessed into sweaters up front.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import Taxonomy, write_doc
+from .catalog import Taxonomy, read_doc, write_doc
 from .errors import AdvisorUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -81,8 +80,7 @@ class PromptSpec:
 
 
 def load_prompt(path: str | Path) -> PromptSpec:
-    with open(path, encoding="utf-8") as fh:
-        return PromptSpec.from_dict(json.load(fh))
+    return PromptSpec.from_dict(read_doc(path))
 
 
 def save_prompt(spec: PromptSpec, path: str | Path) -> None:
@@ -146,6 +144,15 @@ class RoutingPlan:
             ],
             warnings=[str(w) for w in doc.get("warnings", [])],
         )
+
+
+def plan_to_dict(plan: RoutingPlan) -> dict:
+    """The plan.json body."""
+    return {"plan": plan.to_dict()}
+
+
+def plan_from_dict(doc: dict) -> RoutingPlan:
+    return RoutingPlan.from_dict(doc["plan"])
 
 
 def match_concept_key(noun: str, concept_map: dict[str, tuple[str, ...]]) -> str | None:

@@ -19,16 +19,17 @@ as the index, independent scoring loop and sort.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .assembly import GenerationBudget
 from .catalog import Asset, AssetCatalog, Taxonomy, export_catalog, save_taxonomy, write_doc
 from .errors import InfeasibleSpecError, ScenarioConstructionFailedError
 from .evidence import EvidenceStore, PartEvidence, save_evidence
 from .index import CategoryIndex
-from .pipeline import run_retrieval
+from .pipeline import SubspaceParams, run_retrieval
 from .retrieval import RetrievalConfig, retrieve_concept_residual, retrieve_part
 from .router import Concept, PromptSpec, route, save_prompt
 from .vecmath import CategorySubspace, as_vector, canonical_rows, estimate_subspaces, normalize
@@ -254,13 +255,11 @@ class PlantedTruth:
     g: np.ndarray
     p_c: np.ndarray
     t_c: np.ndarray
-    lam: float
 
 
 @dataclass
 class InterferenceScenario:
     catalog: AssetCatalog
-    bases: dict[str, np.ndarray]
     subspaces: dict[str, CategorySubspace]
     truth: PlantedTruth
     attempts: int
@@ -336,11 +335,9 @@ def generate_interference_scenario(
             g=g,
             p_c=p_c,
             t_c=t_c,
-            lam=lam,
         )
         return InterferenceScenario(
             catalog=catalog,
-            bases=bases,
             subspaces=subspaces,
             truth=truth,
             attempts=attempt,
@@ -471,27 +468,9 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
             "index_dir": "indices",
             "output_dir": "output",
         },
-        "retrieval": {
-            "alpha": 0.7,
-            "beta": 0.7,
-            "branch_k": 40,
-            "pool_k": 40,
-            "gate_k": 20,
-        },
-        "budget": {
-            "n_candidates": 6,
-            "per_asset_cap": 2,
-            "per_bundle_cap": 2,
-            "bundle_rotation": 3,
-            "max_refine_iters": 3,
-            "batch_size": 4,
-        },
-        "subspace": {
-            "rank": None,
-            "variance_threshold": 0.9,
-            "max_rank": 16,
-            "center": False,
-        },
+        "retrieval": asdict(RetrievalConfig()),
+        "budget": asdict(GenerationBudget()),
+        "subspace": asdict(SubspaceParams()),
         "judge": "scripted:judge.json",
         "advisor": None,
     }

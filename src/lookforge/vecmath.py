@@ -54,17 +54,6 @@ def normalize(v) -> np.ndarray:
     return v / n
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1]."""
-    u = as_vector(u)
-    v = as_vector(v, d=u.shape[0])
-    un = float(np.linalg.norm(u))
-    vn = float(np.linalg.norm(v))
-    if un <= ZERO_NORM_EPS or vn <= ZERO_NORM_EPS:
-        raise ZeroVectorError("cosine undefined for zero vectors")
-    return float(np.clip(np.dot(u, v) / (un * vn), -1.0, 1.0))
-
-
 def canonical_rows(embeddings: np.ndarray) -> np.ndarray:
     """Normalize rows in float64 and cast to float32.
 

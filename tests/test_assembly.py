@@ -291,6 +291,38 @@ def test_refine_skips_invalid_edits():
     assert any("excluded against" in h for h in out.history)
 
 
+@pytest.mark.parametrize("bad_edit, reason", [
+    ({"action": "swap", "category_id": "hat", "asset_id": "h2"}, "unknown edit action"),
+    ({"action": "replace", "category_id": "hat"}, "requires an asset_id"),
+    ("replace the hat", "not an object"),
+    ({"action": "replace", "category_id": "hat", "asset_id": ["h2"]}, "must be a string"),
+], ids=["unknown_action", "replace_without_asset", "bare_string", "non_string_asset"])
+def test_refine_skips_malformed_edits(bad_edit, reason):
+    judge, _ = scripted(
+        {
+            "verify": [
+                {
+                    "verdict": "fail",
+                    "edits": [
+                        bad_edit,
+                        {"action": "add", "category_id": "jacket", "asset_id": "j1"},
+                    ],
+                },
+                {"verdict": "pass"},
+            ]
+        }
+    )
+    look = AvatarLook("l", selections={"body": "b1", "hat": "h1"})
+    out = refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
+    assert out.status == "verified"
+    assert out.selections == {"body": "b1", "hat": "h1", "jacket": "j1"}
+    assert validate_look(out, BASE_POOLS, (), ("body",)) == []
+    skipped, applied = out.history
+    assert skipped.startswith(f"skipped malformed edit {bad_edit!r}: ")
+    assert reason in skipped
+    assert applied == "add j1"
+
+
 def test_refine_exhausts_budget_and_stays_draft():
     fail = {"verdict": "fail", "issues": ["never happy"]}
     judge, src = scripted({"verify": [fail, fail, fail, fail, fail]})

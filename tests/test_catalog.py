@@ -12,7 +12,9 @@ from lookforge.catalog import (
     export_catalog,
     ingest_catalog,
     load_taxonomy,
+    read_doc,
     save_taxonomy,
+    write_doc,
 )
 from lookforge.errors import (
     DimensionMismatchError,
@@ -138,14 +140,16 @@ def test_catalog_add_rejects_unknown_category():
 def test_bundle_id_round_trip(tmp_path):
     tax = make_taxonomy()
     cat, _ = ingest_catalog([line("a1", bundle_id="bundle-7"), line("a2")], tax)
-    assert cat.get("a1").bundle_id == "bundle-7"
-    assert cat.get("a2").bundle_id is None
+    a1, a2 = cat.iter_assets()
+    assert a1.bundle_id == "bundle-7"
+    assert a2.bundle_id is None
     out = tmp_path / "out.jsonl"
     export_catalog(cat, out)
     cat2, report2 = ingest_catalog(out, tax)
     assert report2.n_rejected == 0
-    assert cat2.get("a1").bundle_id == "bundle-7"
-    assert np.allclose(cat2.get("a1").embedding, cat.get("a1").embedding)
+    b1, _ = cat2.iter_assets()
+    assert b1.bundle_id == "bundle-7"
+    assert np.allclose(b1.embedding, a1.embedding)
 
 
 def test_taxonomy_validation_catches_structural_problems():
@@ -182,3 +186,12 @@ def test_taxonomy_load_rejects_invalid(tmp_path):
     path.write_text(json.dumps({"schema_version": 99, "categories": ["hat"]}))
     with pytest.raises(InvalidTaxonomyError):
         load_taxonomy(path)
+
+
+def test_failed_write_keeps_previous_document(tmp_path):
+    path = tmp_path / "doc.json"
+    write_doc(path, {"a": 1})
+    with pytest.raises(TypeError):
+        write_doc(path, {"a": 1, "b": object()})
+    assert read_doc(path) == {"a": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]

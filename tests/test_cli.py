@@ -3,16 +3,22 @@ import json
 
 import pytest
 
+from lookforge.catalog import ingest_catalog, load_taxonomy, read_doc
 from lookforge.cli import (
     ENV_JUDGE_TIMEOUT,
     ENV_JUDGE_URL,
+    build_judge,
     effective_judge_spec,
     effective_timeout,
     load_run_config,
     main,
     parse_judge_spec,
 )
+from lookforge.evidence import load_evidence
 from lookforge.judge import DEFAULT_HTTP_TIMEOUT
+from lookforge.pipeline import run_pipeline
+from lookforge.retrieval import pools_to_dict
+from lookforge.router import load_prompt, plan_to_dict
 from lookforge.synth import generate_pipeline_scenario
 
 DEMO_LOOK_SHA256 = "092c2b470c3ccaaa2ddcde27040866d31923ca5b9b619cb57c66ea33a6e9c6de"
@@ -23,6 +29,17 @@ def bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
     truth = generate_pipeline_scenario(out, seed=2)
     return out, truth
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    """The seed-0 demo bundle after all five stage commands."""
+    root = tmp_path_factory.mktemp("demo")
+    assert main(["synth", "--out", str(root), "--seed", "0"]) == 0
+    cfg_arg = ["--config", str(root / "config.json")]
+    for command in ("ingest", "build-index", "route", "retrieve", "assemble"):
+        assert main([command, *cfg_arg]) == 0, command
+    return root
 
 
 class TestJudgeSpec:
@@ -185,17 +202,35 @@ class TestStageCommands:
         look = json.loads((root / "output" / "look.json").read_text())
         assert look["winner"]["selections"] == truth["planted_selections"]
 
-    def test_demo_look_fingerprint(self, tmp_path, capsys):
+    def test_demo_look_fingerprint(self, demo):
         # the behaviour fingerprint of the seed-0 demo bundle: look.json
         # embeds the config.json sha256, so this pins the bundle writer too
-        root = tmp_path / "demo"
-        assert main(["synth", "--out", str(root), "--seed", "0"]) == 0
-        cfg_arg = ["--config", str(root / "config.json")]
-        for command in ("ingest", "build-index", "route", "retrieve", "assemble"):
-            assert main([command, *cfg_arg]) == 0, capsys.readouterr()
-        capsys.readouterr()
-        digest = hashlib.sha256((root / "output" / "look.json").read_bytes()).hexdigest()
+        digest = hashlib.sha256((demo / "output" / "look.json").read_bytes()).hexdigest()
         assert digest == DEMO_LOOK_SHA256
+
+    def test_stage_documents_match_run_pipeline(self, demo):
+        # the stage commands and the in-process pipeline are one path: each
+        # stage document body is the library's to_dict of the same result
+        cfg = load_run_config(demo / "config.json")
+        taxonomy = load_taxonomy(cfg.paths["taxonomy"])
+        catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
+        result = run_pipeline(
+            catalog, taxonomy, load_evidence(cfg.paths["evidence"]),
+            load_prompt(cfg.paths["prompt"]),
+            build_judge(cfg.judge_spec, cfg.root, DEFAULT_HTTP_TIMEOUT),
+            retrieval_cfg=cfg.retrieval, budget=cfg.budget,
+            subspace_params=cfg.subspace, body_category=cfg.body_category,
+        )
+
+        def body(name):
+            doc = read_doc(demo / "output" / name)
+            assert doc.pop("schema_version") == 1
+            assert doc.pop("config_sha256") == cfg.config_sha256
+            return doc
+
+        assert body("plan.json") == plan_to_dict(result.plan)
+        assert body("pools.json") == pools_to_dict(result.retrievals)
+        assert body("look.json") == result.to_dict()
 
 
 class TestSynthAndEval:

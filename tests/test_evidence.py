@@ -70,7 +70,7 @@ def test_store_enforces_single_dimension():
 
 def test_text_prior_missing_raises():
     store = make_store()
-    assert store.has_text_prior("hat")
+    assert np.allclose(store.text_prior("hat"), [0.0, 0.0, 1.0])
     with pytest.raises(MissingTextPriorError):
         store.text_prior("pants")
 

@@ -140,16 +140,19 @@ def test_pass_through_judge():
 
 
 class _Handler(BaseHTTPRequestHandler):
-    fail_first = False
-    failed = False
+    # one answer per request, in order: an HTTP status, or "drop" to close
+    # the connection without replying; past the list every answer is 200
+    answers: list = []
     seen: list[dict] = []
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).seen.append(body)
-        if type(self).fail_first and not type(self).failed:
-            type(self).failed = True
-            self.send_response(500)
+        answer = type(self).answers.pop(0) if type(self).answers else 200
+        if answer == "drop":
+            return
+        if answer != 200:
+            self.send_response(answer)
             self.end_headers()
             return
         payload = json.dumps({"verdict": "pass"}).encode()
@@ -166,7 +169,7 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_judge_url():
     _Handler.seen = []
-    _Handler.failed = False
+    _Handler.answers = []
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -176,7 +179,6 @@ def http_judge_url():
 
 
 def test_http_source_round_trip(http_judge_url):
-    _Handler.fail_first = False
     judge = JudgeClient(HttpSource(http_judge_url, timeout=5.0))
     assert judge.verify({"look_id": "l1"})["verdict"] == "pass"
     assert _Handler.seen[0]["op"] == "verify"
@@ -184,10 +186,24 @@ def test_http_source_round_trip(http_judge_url):
 
 
 def test_http_source_retries_once(http_judge_url):
-    _Handler.fail_first = True
     judge = JudgeClient(HttpSource(http_judge_url, timeout=5.0))
-    assert judge.verify({})["verdict"] == "pass"
-    assert len(_Handler.seen) == 2
+    for first in (500, "drop"):
+        _Handler.seen, _Handler.answers = [], [first]
+        assert judge.verify({})["verdict"] == "pass"
+        assert len(_Handler.seen) == 2
+
+
+@pytest.mark.parametrize("answers, requests", [
+    ([400], 1),  # a client error is not retried
+    ([503, 503], 2),
+    (["drop", "drop"], 2),
+], ids=["client_error", "server_error", "dropped_connection"])
+def test_http_source_failures_raise_unavailable(http_judge_url, answers, requests):
+    _Handler.answers = list(answers)
+    src = HttpSource(http_judge_url, timeout=5.0)
+    with pytest.raises(JudgeUnavailableError):
+        src.request("verify", {})
+    assert len(_Handler.seen) == requests
 
 
 def test_http_source_unreachable_raises():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,11 @@ from lookforge.evidence import EvidenceStore, PartEvidence
 from lookforge.index import CategoryIndex
 from lookforge.retrieval import (
     Candidate,
+    CategoryRetrieval,
     RetrievalConfig,
     build_pool,
+    pools_from_dict,
+    pools_to_dict,
     retrieve_category,
     retrieve_concept_residual,
     retrieve_part,
@@ -205,6 +210,17 @@ def test_retrieve_category_failed_part_uses_global_only():
     store.add_part(PartEvidence("top", "failed"))
     out = retrieve_category("top", idx, store, tax, subs, RetrievalConfig(branch_k=2))
     assert not out.used_part_evidence
+
+
+def test_pools_document_round_trip():
+    idx, store, tax, subs = category_fixture(with_part=True)
+    top = retrieve_category("top", idx, store, tax, subs, RetrievalConfig(branch_k=2))
+    legs = CategoryRetrieval(
+        "legs", [cand("l1", 0.25, "concept_residual")], False, True, None, ["no view"]
+    )
+    retrievals = {"top": top, "legs": legs}
+    doc = json.loads(json.dumps(pools_to_dict(retrievals)))
+    assert pools_from_dict(doc) == retrievals
 
 
 def test_retrieve_category_missing_text_prior():

@@ -19,7 +19,6 @@ from lookforge.vecmath import (
     CategorySubspace,
     canonical_rows,
     compute_category_subspace,
-    cosine,
     fuse,
     normalize,
     suppress,
@@ -39,7 +38,7 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
-# --- normalize / cosine ------------------------------------------------------
+# --- normalize ---------------------------------------------------------------
 
 
 def test_normalize_basic():
@@ -74,23 +73,6 @@ def test_normalize_is_unit_norm(v):
 @given(finite_vectors, st.floats(min_value=1e-3, max_value=1e3))
 def test_normalize_scale_invariant(v, c):
     assert np.allclose(normalize(v), normalize(c * v), atol=1e-9)
-
-
-def test_cosine_known_values():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(-1.0)
-
-
-def test_cosine_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-@given(finite_vectors)
-def test_cosine_clamped(v):
-    assert -1.0 <= cosine(v, v) <= 1.0
-    assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- canonical rows ----------------------------------------------------------
