@@ -10,7 +10,8 @@ The package is organized around a small pipeline:
 - :mod:`lookforge.router` -- prompt-to-category routing and query templating.
 - :mod:`lookforge.evidence` -- per-part visual evidence and text priors.
 - :mod:`lookforge.retrieval` -- the two retrieval branches and pooling.
-- :mod:`lookforge.judge` -- pluggable judge / advisor clients.
+- :mod:`lookforge.judge` -- the one judge and advisor client, over scripted
+  or HTTP sources.
 - :mod:`lookforge.assembly` -- gating, look assembly, refinement, tournament.
 - :mod:`lookforge.synth` -- synthetic catalogs with planted ground truth.
 - :mod:`lookforge.evalsuite` -- ablation metrics over planted scenarios.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, field
 
-from .errors import BudgetInfeasibleError, MissingCoreCategoryError
+from .errors import BudgetInfeasibleError, JudgeUnavailableError, MissingCoreCategoryError
 from .retrieval import Candidate
 
 logger = logging.getLogger(__name__)
@@ -93,25 +93,40 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> VerificationReport:
+        """Parse a judge's verify answer; the one place that reads it.
+
+        A ``pass`` ignores everything else in the answer. An answer that
+        cannot be a report (another verdict, a fail with nothing in it, or
+        ``issues``/``edits`` that are not lists) raises
+        :class:`JudgeUnavailableError`. A single edit that does not parse
+        is kept in ``rejected_edits`` instead.
+        """
+        if doc.get("verdict") == "pass":
+            return cls("pass")
+        raw_issues = doc.get("issues", [])
+        raw_edits = doc.get("edits", [])
+        if not isinstance(raw_issues, list) or not isinstance(raw_edits, list):
+            raise JudgeUnavailableError(
+                f"verify issues and edits must be lists: {doc!r}"
+            )
         edits: list[Edit] = []
         rejected: list[str] = []
-        for raw in doc.get("edits", []):
+        for raw in raw_edits:
             try:
                 edits.append(Edit.from_dict(raw))
             except ValueError as exc:
                 rejected.append(f"{raw!r}: {exc}")
-        return cls(
-            verdict=str(doc.get("verdict", "")),
-            issues=tuple(
-                Issue(
-                    description=str(i.get("description", i) if isinstance(i, dict) else i),
-                    category_id=i.get("category_id") if isinstance(i, dict) else None,
-                )
-                for i in doc.get("issues", [])
-            ),
-            edits=tuple(edits),
-            rejected_edits=tuple(rejected),
+        issues = tuple(
+            Issue(
+                description=str(i.get("description", i) if isinstance(i, dict) else i),
+                category_id=i.get("category_id") if isinstance(i, dict) else None,
+            )
+            for i in raw_issues
         )
+        try:
+            return cls(str(doc.get("verdict", "")), issues, tuple(edits), tuple(rejected))
+        except ValueError as exc:
+            raise JudgeUnavailableError(f"malformed verify response {doc!r}: {exc}") from exc
 
 
 @dataclass

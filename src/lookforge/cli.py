@@ -30,18 +30,12 @@ from .errors import PipelineError
 from .evalsuite import ABLATIONS, markdown_table, run_interference_suite
 from .evidence import load_evidence
 from .index import MANIFEST_FILE, build_indices, load_snapshots, save_snapshots
-from .judge import (
-    DEFAULT_HTTP_TIMEOUT,
-    AdvisorClient,
-    HttpSource,
-    JudgeClient,
-    PassThroughJudge,
-    ScriptedSource,
-)
-from .pipeline import SubspaceParams, bundle_map, run_assembly, run_retrieval
+from .judge import DEFAULT_HTTP_TIMEOUT, PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
+from .pipeline import bundle_map, run_assembly, run_retrieval
 from .retrieval import RetrievalConfig, pools_from_dict, pools_to_dict
 from .router import load_prompt, plan_from_dict, plan_to_dict, route
 from .synth import generate_pipeline_scenario
+from .vecmath import SubspaceParams
 
 RUN_CONFIG_SCHEMA_VERSION = 1
 OUTPUT_SCHEMA_VERSION = 1
@@ -55,7 +49,6 @@ PATH_KEYS = ("catalog", "taxonomy", "evidence", "prompt", "index_dir", "output_d
 @dataclass(frozen=True)
 class RunConfig:
     root: Path
-    seed: int
     body_category: str | None
     paths: dict[str, Path]
     retrieval: RetrievalConfig
@@ -98,7 +91,6 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     return RunConfig(
         root=p.parent,
-        seed=int(doc.get("seed", 0)),
         body_category=doc.get("body_category"),
         paths=paths,
         retrieval=retrieval,
@@ -135,25 +127,14 @@ def parse_judge_spec(spec: str) -> tuple[str, str | None]:
     )
 
 
-def _build_source(spec: str, root: Path, timeout: float):
+def build_judge(spec: str, root: Path, timeout: float) -> JudgeClient:
+    """The judge or advisor client a spec names."""
     kind, target = parse_judge_spec(spec)
     if kind == "passthrough":
-        return None
+        return JudgeClient(ScriptedSource(PASS_SCRIPT))
     if kind == "scripted":
-        return ScriptedSource(root / target)
-    return HttpSource(target, timeout=timeout)
-
-
-def build_judge(spec: str, root: Path, timeout: float):
-    source = _build_source(spec, root, timeout)
-    return PassThroughJudge() if source is None else JudgeClient(source)
-
-
-def build_advisor(spec: str | None, root: Path, timeout: float):
-    if spec is None:
-        return None
-    source = _build_source(str(spec), root, timeout)
-    return None if source is None else AdvisorClient(source)
+        return JudgeClient(ScriptedSource(root / target))
+    return JudgeClient(HttpSource(target, timeout=timeout))
 
 
 def effective_judge_spec(flag: str | None, config_spec: str) -> str:
@@ -226,7 +207,9 @@ def cmd_build_index(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
 @stage_command
 def cmd_route(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     prompt = load_prompt(_require_path(cfg, "prompt"))
-    advisor = build_advisor(cfg.advisor_spec, cfg.root, effective_timeout())
+    advisor = None
+    if cfg.advisor_spec is not None:
+        advisor = build_judge(str(cfg.advisor_spec), cfg.root, effective_timeout())
     plan = route(prompt, taxonomy, advisor=advisor)
     out = _out_dir(args, cfg) / "plan.json"
     write_output(out, cfg, plan_to_dict(plan))

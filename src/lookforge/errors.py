@@ -64,10 +64,6 @@ class VersionMismatchError(PipelineError):
 
 # --- routing / evidence ----------------------------------------------------
 
-class AdvisorUnavailableError(PipelineError):
-    """The routing advisor could not be reached; routing may proceed."""
-
-
 class NoViewsAvailableError(PipelineError):
     """No rendered views exist for a look that requires at least one."""
 
@@ -79,7 +75,8 @@ class MissingTextPriorError(PipelineError):
 # --- judge / assembly ------------------------------------------------------
 
 class JudgeUnavailableError(PipelineError):
-    """The judge backend failed or ran out of scripted responses."""
+    """The judge or advisor failed, ran out of scripted responses, or sent
+    an answer that does not parse; route catches it for the advisor."""
 
 
 class MissingCoreCategoryError(PipelineError):

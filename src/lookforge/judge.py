@@ -1,10 +1,20 @@
-"""Pluggable judge and advisor clients.
+"""The judge client: one boundary for every answer from outside the program.
 
 The pipeline consults an external multimodal judge at four points: grid
-filtering, outfit selection, look verification, and batch comparison. All
-four go through one transport abstraction so tests can script exact
-response sequences and production can point at an HTTP endpoint with the
-same code path.
+filtering, outfit selection, look verification, and batch comparison. The
+router consults an advisor once per prompt. All five operations
+(:data:`JUDGE_OPS`) go through one :class:`JudgeClient` over one response
+source, so tests script exact response sequences, the built-in
+``passthrough`` judge is the script :data:`PASS_SCRIPT`, and production
+points at an HTTP endpoint with the same code path.
+
+Each answer is parsed in exactly one place. ``filter_grid``,
+``select_outfit`` and ``compare_batch`` answers are parsed here. A
+``verify`` answer is parsed by :meth:`assembly.VerificationReport.from_dict`
+and an ``advise`` answer by the router, so the client hands both back
+unchanged. A judge answer that does not parse raises
+:class:`JudgeUnavailableError`; an advisor answer that does not parse
+only adds a warning to the routing plan.
 
 Scripted sources hold one FIFO queue of responses per operation name and
 fail loudly when a queue runs dry, because a silently improvising judge
@@ -21,13 +31,24 @@ import urllib.request
 from pathlib import Path
 
 from .catalog import read_doc
-from .errors import AdvisorUnavailableError, JudgeUnavailableError
+from .errors import JudgeUnavailableError
 
 logger = logging.getLogger(__name__)
 
 JUDGE_OPS = ("filter_grid", "select_outfit", "verify", "compare_batch", "advise")
 
 DEFAULT_HTTP_TIMEOUT = 10.0
+
+# The ``passthrough`` judge: keep every candidate, pick each pool's top,
+# pass every look, and let each batch's first look win. It has no advisor
+# answer. synth writes it as a bundle's judge.json.
+PASS_SCRIPT = {
+    "cycle": True,
+    "filter_grid": [{"keep": "all"}],
+    "select_outfit": [{"select": "top"}],
+    "verify": [{"verdict": "pass"}],
+    "compare_batch": [{"winner": 0}],
+}
 
 
 class ScriptedSource:
@@ -96,7 +117,7 @@ class HttpSource:
 
 
 class JudgeClient:
-    """Typed wrapper over a response source for the four judge calls."""
+    """The judge and advisor calls over one response source."""
 
     def __init__(self, source):
         self._source = source
@@ -107,6 +128,7 @@ class JudgeClient:
     #   verify         {"verdict": "pass"} or
     #                  {"verdict": "fail", "issues": [...], "edits": [...]}
     #   compare_batch  {"winner": index} or {"winner": "max_look_id"}
+    #   advise         {"add_categories": [...], "query_rewrites": {...}}
 
     def filter_grid(self, category_id: str, candidates) -> list[str]:
         payload = {
@@ -132,19 +154,8 @@ class JudgeClient:
         raise JudgeUnavailableError(f"malformed select_outfit response: {resp!r}")
 
     def verify(self, look_doc: dict) -> dict:
-        resp = self._source.request("verify", look_doc)
-        verdict = resp.get("verdict")
-        if verdict == "pass":
-            return {"verdict": "pass", "issues": [], "edits": []}
-        if verdict == "fail":
-            issues = resp.get("issues", [])
-            edits = resp.get("edits", [])
-            if not issues and not edits:
-                raise JudgeUnavailableError(
-                    "fail verdict must carry issues or edits"
-                )
-            return {"verdict": "fail", "issues": issues, "edits": edits}
-        raise JudgeUnavailableError(f"malformed verify response: {resp!r}")
+        """The answer as sent; ``VerificationReport.from_dict`` parses it."""
+        return self._source.request("verify", look_doc)
 
     def compare_batch(self, look_docs: list[dict]) -> int:
         payload = {"looks": look_docs}
@@ -157,31 +168,6 @@ class JudgeClient:
             return winner
         raise JudgeUnavailableError(f"malformed compare_batch response: {resp!r}")
 
-
-class AdvisorClient:
-    """Routing advisor over the same transports; failures stay advisory."""
-
-    def __init__(self, source):
-        self._source = source
-
     def advise(self, payload: dict) -> dict:
-        try:
-            return self._source.request("advise", payload)
-        except JudgeUnavailableError as exc:
-            raise AdvisorUnavailableError(str(exc)) from exc
-
-
-class PassThroughJudge:
-    """Judge that never rejects anything; used by evals and dry runs."""
-
-    def filter_grid(self, category_id: str, candidates) -> list[str]:
-        return [c.asset_id for c in candidates]
-
-    def select_outfit(self, pools: dict[str, list[str]], context: dict) -> dict[str, str]:
-        return {cat: ids[0] for cat, ids in pools.items() if ids}
-
-    def verify(self, look_doc: dict) -> dict:
-        return {"verdict": "pass", "issues": [], "edits": []}
-
-    def compare_batch(self, look_docs: list[dict]) -> int:
-        return 0
+        """The answer as sent; the router parses it."""
+        return self._source.request("advise", payload)

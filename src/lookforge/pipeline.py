@@ -9,7 +9,7 @@ the look.json format.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .assembly import (
     AvatarLook,
@@ -24,7 +24,7 @@ from .evidence import EvidenceStore
 from .index import build_indices
 from .retrieval import Candidate, CategoryRetrieval, RetrievalConfig, retrieve_category
 from .router import PromptSpec, RoutingPlan, route
-from .vecmath import estimate_subspaces
+from .vecmath import SubspaceParams, estimate_subspaces
 
 
 @dataclass
@@ -59,14 +59,6 @@ class PipelineResult(AssemblyResult):
     retrievals: dict[str, CategoryRetrieval]
 
 
-@dataclass(frozen=True)
-class SubspaceParams:
-    rank: int | None = None
-    variance_threshold: float = 0.90
-    max_rank: int = 16
-    center: bool = False
-
-
 def bundle_map(catalog: AssetCatalog) -> dict[str, str]:
     return {
         a.asset_id: a.bundle_id for a in catalog.iter_assets() if a.bundle_id is not None
@@ -92,7 +84,7 @@ def run_retrieval(
     """
     if indices is None:
         indices = build_indices(catalog, list(plan.target_categories))
-    subspaces = estimate_subspaces(catalog, **asdict(subspace_params))
+    subspaces = estimate_subspaces(catalog, subspace_params)
     out: dict[str, CategoryRetrieval] = {}
     for cat in plan.target_categories:
         out[cat] = retrieve_category(

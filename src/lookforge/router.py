@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Taxonomy, read_doc, write_doc
-from .errors import AdvisorUnavailableError
+from .errors import JudgeUnavailableError
 
 logger = logging.getLogger(__name__)
 
@@ -299,7 +299,15 @@ def _violates_exclusion(cid: str, targets: set[str], taxonomy: Taxonomy) -> bool
 
 
 def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advisor) -> None:
-    """Merge advisor output into the plan, rejecting unsound suggestions."""
+    """Merge the advisor's answer into the plan; the one place that reads it.
+
+    An answer whose ``add_categories`` is not a list or whose
+    ``query_rewrites`` is not an object leaves the plan as routed. An
+    entry that does not parse (a ``category_id`` that is not a string, a
+    ``query`` that is neither a string nor null), a rewrite that is not a
+    string, and a suggestion the taxonomy or an exclusion group rules out
+    are skipped. Every rejection adds a warning.
+    """
     try:
         suggestion = advisor.advise(
             {
@@ -308,14 +316,28 @@ def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advi
                 "queries": dict(plan.queries),
             }
         )
-    except AdvisorUnavailableError as exc:
+    except JudgeUnavailableError as exc:
         plan.warnings.append(f"advisor unavailable: {exc}")
         logger.warning("advisor unavailable: %s", exc)
         return
+    additions = suggestion.get("add_categories", [])
+    rewrites = suggestion.get("query_rewrites", {})
+    if not isinstance(additions, list) or not isinstance(rewrites, dict):
+        plan.warnings.append(
+            "advisor answer ignored: add_categories must be a list and "
+            f"query_rewrites an object, got {suggestion!r}"
+        )
+        return
 
     targets = set(plan.target_categories)
-    for entry in suggestion.get("add_categories", []):
-        cid = entry.get("category_id") if isinstance(entry, dict) else entry
+    for entry in additions:
+        if isinstance(entry, str):
+            entry = {"category_id": entry}
+        fields = entry if isinstance(entry, dict) else {}
+        cid, query = fields.get("category_id"), fields.get("query")
+        if not isinstance(cid, str) or not isinstance(query, (str, type(None))):
+            plan.warnings.append(f"advisor suggestion {entry!r} skipped: malformed")
+            continue
         if cid in targets:
             continue
         if cid not in taxonomy.categories:
@@ -328,14 +350,16 @@ def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advi
             continue
         targets.add(cid)
         plan.provenance[cid] = "advisor-added"
-        query = entry.get("query") if isinstance(entry, dict) else None
         plan.queries[cid] = query or _fallback_query(spec.text, cid)
 
-    for cid, query in suggestion.get("query_rewrites", {}).items():
+    for cid, query in rewrites.items():
         if cid not in targets:
             plan.warnings.append(f"advisor rewrite for untargeted category {cid!r}")
             continue
-        plan.queries[cid] = str(query)
+        if not isinstance(query, str):
+            plan.warnings.append(f"advisor rewrite {query!r} for {cid!r} skipped: not a string")
+            continue
+        plan.queries[cid] = query
 
     plan.target_categories = tuple(sorted(targets))
     plan.provenance = {c: plan.provenance[c] for c in plan.target_categories}

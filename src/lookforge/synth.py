@@ -29,10 +29,18 @@ from .catalog import Asset, AssetCatalog, Taxonomy, export_catalog, save_taxonom
 from .errors import InfeasibleSpecError, ScenarioConstructionFailedError
 from .evidence import EvidenceStore, PartEvidence, save_evidence
 from .index import CategoryIndex
-from .pipeline import SubspaceParams, run_retrieval
+from .judge import PASS_SCRIPT
+from .pipeline import run_retrieval
 from .retrieval import RetrievalConfig, retrieve_concept_residual, retrieve_part
 from .router import Concept, PromptSpec, route, save_prompt
-from .vecmath import CategorySubspace, as_vector, canonical_rows, estimate_subspaces, normalize
+from .vecmath import (
+    CategorySubspace,
+    SubspaceParams,
+    as_vector,
+    canonical_rows,
+    estimate_subspaces,
+    normalize,
+)
 
 DEFAULT_NOISE_SIGMA = 0.3
 DEFAULT_LAMBDA = 1.5
@@ -449,13 +457,6 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
             f"no recoverable pipeline scenario in {MAX_SCENARIO_RETRIES} attempts (seed {seed})"
         )
 
-    judge_script = {
-        "cycle": True,
-        "filter_grid": [{"keep": "all"}],
-        "select_outfit": [{"select": "top"}],
-        "verify": [{"verdict": "pass"}],
-        "compare_batch": [{"winner": 0}],
-    }
     config = {
         "schema_version": 1,
         "seed": seed,
@@ -485,7 +486,7 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
     save_taxonomy(taxonomy, out / "taxonomy.json")
     save_prompt(prompt, out / "prompt.json")
     save_evidence(store, out / "evidence.json")
-    for name, doc in (("judge.json", judge_script), ("config.json", config),
+    for name, doc in (("judge.json", PASS_SCRIPT), ("config.json", config),
                       ("truth.json", truth)):
         write_doc(out / name, doc)
     return truth

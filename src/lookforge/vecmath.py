@@ -101,23 +101,30 @@ class CategorySubspace:
         return self.basis @ (self.basis.T @ v)
 
 
+@dataclass(frozen=True)
+class SubspaceParams:
+    """How a category subspace's rank is chosen (see
+    :func:`compute_category_subspace`)."""
+
+    rank: int | None = None
+    variance_threshold: float = 0.90
+    max_rank: int = 16
+    center: bool = False
+
+
 def compute_category_subspace(
     category_id: str,
     embeddings,
-    *,
-    rank: int | None = None,
-    variance_threshold: float = 0.90,
-    max_rank: int = 16,
-    center: bool = False,
+    params: SubspaceParams = SubspaceParams(),
 ) -> CategorySubspace:
     """SVD-derived subspace for one category's embeddings.
 
     ``embeddings`` stacks one row per asset. By default rows enter the SVD
-    uncentered, so the leading direction tracks the category mean; pass
-    ``center=True`` to subtract the mean first. With ``rank=None`` the rank
-    is the smallest r whose squared singular values cover
-    ``variance_threshold`` of the total energy, capped at ``max_rank``.
-    An explicit ``rank`` is clamped to min(n, d).
+    uncentered, so the leading direction tracks the category mean; set
+    ``params.center`` to subtract the mean first. With ``params.rank``
+    None the rank is the smallest r whose squared singular values cover
+    ``params.variance_threshold`` of the total energy, capped at
+    ``params.max_rank``. An explicit rank is clamped to min(n, d).
     """
     m = np.asarray(embeddings, dtype=np.float64)
     if m.ndim != 2:
@@ -127,15 +134,15 @@ def compute_category_subspace(
         raise EmptyCategoryError(f"category {category_id!r} has no embeddings")
     if not np.all(np.isfinite(m)):
         raise NonFiniteVectorError("embedding matrix contains NaN or infinite entries")
-    if center:
+    if params.center:
         m = m - m.mean(axis=0, keepdims=True)
 
     _, s, vt = np.linalg.svd(m, full_matrices=False)
 
-    if rank is not None:
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        r = min(rank, n, d)
+    if params.rank is not None:
+        if params.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {params.rank}")
+        r = min(params.rank, n, d)
     else:
         energy = s**2
         total = float(energy.sum())
@@ -144,8 +151,8 @@ def compute_category_subspace(
             r = 1
         else:
             covered = np.cumsum(energy) / total
-            r = int(np.searchsorted(covered, variance_threshold) + 1)
-        r = min(r, max_rank, n, d)
+            r = int(np.searchsorted(covered, params.variance_threshold) + 1)
+        r = min(r, params.max_rank, n, d)
 
     return CategorySubspace(
         category_id=category_id,
@@ -157,11 +164,7 @@ def compute_category_subspace(
 
 def estimate_subspaces(
     catalog: AssetCatalog,
-    *,
-    rank: int | None = None,
-    variance_threshold: float = 0.90,
-    max_rank: int = 16,
-    center: bool = False,
+    params: SubspaceParams = SubspaceParams(),
 ) -> dict[str, CategorySubspace]:
     """Per-category subspaces estimated from catalog embeddings.
 
@@ -174,14 +177,7 @@ def estimate_subspaces(
         if not ids:
             logger.info("category %r has no assets; no subspace", cid)
             continue
-        out[cid] = compute_category_subspace(
-            cid,
-            rows,
-            rank=rank,
-            variance_threshold=variance_threshold,
-            max_rank=max_rank,
-            center=center,
-        )
+        out[cid] = compute_category_subspace(cid, rows, params)
     return out
 
 

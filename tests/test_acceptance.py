@@ -44,7 +44,13 @@ from lookforge.synth import (
     generate_catalog,
     generate_pipeline_scenario,
 )
-from lookforge.vecmath import CategorySubspace, estimate_subspaces, normalize, suppress
+from lookforge.vecmath import (
+    CategorySubspace,
+    SubspaceParams,
+    estimate_subspaces,
+    normalize,
+    suppress,
+)
 
 _LINES: list[str] = []
 
@@ -100,7 +106,7 @@ def test_criterion_02_noiseless_subspace_recovery():
             seed=seed,
         )
         catalog, bases = generate_catalog(spec)
-        recovered = estimate_subspaces(catalog, rank=4)
+        recovered = estimate_subspaces(catalog, SubspaceParams(rank=4))
         for cid, planted in bases.items():
             angles = subspace_angles(recovered[cid].basis, planted)
             worst = max(worst, float(np.max(angles)))

@@ -20,7 +20,7 @@ from lookforge.errors import (
     JudgeUnavailableError,
     MissingCoreCategoryError,
 )
-from lookforge.judge import JudgeClient, PassThroughJudge, ScriptedSource
+from lookforge.judge import JudgeClient, ScriptedSource
 from lookforge.retrieval import Candidate
 
 
@@ -321,6 +321,19 @@ def test_refine_skips_malformed_edits(bad_edit, reason):
     assert skipped.startswith(f"skipped malformed edit {bad_edit!r}: ")
     assert reason in skipped
     assert applied == "add j1"
+
+
+@pytest.mark.parametrize("answer", [
+    {"verdict": "fail", "issues": ["x"], "edits": 5},
+    {"verdict": "fail", "issues": 7},
+    {"verdict": "fail", "edits": "xy"},
+], ids=["int_edits", "int_issues", "string_edits"])
+def test_refine_rejects_non_list_issues_or_edits(answer):
+    judge, _ = scripted({"verify": [answer]})
+    look = AvatarLook("l", selections={"body": "b1", "hat": "h1"})
+    with pytest.raises(JudgeUnavailableError, match="must be lists"):
+        refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
+    assert look.history == []
 
 
 def test_refine_exhausts_budget_and_stays_draft():

@@ -6,14 +6,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from lookforge.errors import AdvisorUnavailableError, JudgeUnavailableError
-from lookforge.judge import (
-    AdvisorClient,
-    HttpSource,
-    JudgeClient,
-    PassThroughJudge,
-    ScriptedSource,
-)
+from lookforge.assembly import Edit, VerificationReport
+from lookforge.errors import JudgeUnavailableError
+from lookforge.judge import PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
 from lookforge.retrieval import Candidate
 
 
@@ -102,18 +97,23 @@ def test_verify_forms():
     src = ScriptedSource(
         {
             "verify": [
-                {"verdict": "pass", "issues": ["ignored"]},
+                {"verdict": "pass", "issues": ["ignored"], "edits": 5},
                 {"verdict": "fail", "edits": [{"action": "remove", "category_id": "hat"}]},
                 {"verdict": "fail"},
+                {"verdict": "maybe"},
             ]
         }
     )
     judge = JudgeClient(src)
-    assert judge.verify({}) == {"verdict": "pass", "issues": [], "edits": []}
-    out = judge.verify({})
-    assert out["verdict"] == "fail" and out["edits"]
-    with pytest.raises(JudgeUnavailableError):
-        judge.verify({})
+    # the client hands the answer over unchanged; the report parses it
+    first = judge.verify({})
+    assert first == {"verdict": "pass", "issues": ["ignored"], "edits": 5}
+    assert VerificationReport.from_dict(first) == VerificationReport("pass")
+    out = VerificationReport.from_dict(judge.verify({}))
+    assert out.verdict == "fail" and out.edits == (Edit("remove", "hat"),)
+    for _ in range(2):
+        with pytest.raises(JudgeUnavailableError):
+            VerificationReport.from_dict(judge.verify({}))
 
 
 def test_compare_batch_forms():
@@ -129,11 +129,14 @@ def test_compare_batch_forms():
 
 
 def test_pass_through_judge():
-    judge = PassThroughJudge()
-    assert judge.filter_grid("hat", cands("a", "b")) == ["a", "b"]
-    assert judge.select_outfit({"hat": ["h1", "h2"]}, {}) == {"hat": "h1"}
-    assert judge.verify({})["verdict"] == "pass"
-    assert judge.compare_batch([{}, {}]) == 0
+    judge = JudgeClient(ScriptedSource(PASS_SCRIPT))
+    for _ in range(2):  # the script cycles
+        assert judge.filter_grid("hat", cands("a", "b")) == ["a", "b"]
+        assert judge.select_outfit({"hat": ["h1", "h2"]}, {}) == {"hat": "h1"}
+        assert judge.verify({})["verdict"] == "pass"
+        assert judge.compare_batch([{}, {}]) == 0
+    with pytest.raises(JudgeUnavailableError):  # it has no advisor answer
+        judge.advise({})
 
 
 # --- http source -----------------------------------------------------------------
@@ -213,8 +216,9 @@ def test_http_source_unreachable_raises():
 
 
 def test_advisor_maps_unavailability():
-    advisor = AdvisorClient(ScriptedSource({}))
-    with pytest.raises(AdvisorUnavailableError):
+    advisor = JudgeClient(ScriptedSource({}))
+    with pytest.raises(JudgeUnavailableError):
         advisor.advise({"text": "x"})
-    ok = AdvisorClient(ScriptedSource({"advise": [{"add_categories": ["hat"]}]}))
-    assert ok.advise({}) == {"add_categories": ["hat"]}
+    ok = JudgeClient(ScriptedSource({"advise": [{"add_categories": "hat"}]}))
+    # the client hands the answer over unchanged; the router parses it
+    assert ok.advise({}) == {"add_categories": "hat"}

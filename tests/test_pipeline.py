@@ -4,17 +4,12 @@ import pytest
 from lookforge.catalog import Asset, AssetCatalog, Taxonomy
 from lookforge.evidence import EvidenceStore, PartEvidence
 from lookforge.index import CategoryIndex, build_indices
-from lookforge.judge import PassThroughJudge
-from lookforge.pipeline import (
-    SubspaceParams,
-    bundle_map,
-    run_pipeline,
-    run_retrieval,
-)
+from lookforge.judge import PASS_SCRIPT, JudgeClient, ScriptedSource
+from lookforge.pipeline import bundle_map, run_pipeline, run_retrieval
 from lookforge.retrieval import RetrievalConfig
 from lookforge.router import Concept, PromptSpec, route
 from lookforge.synth import CategorySpec, SynthSpec, generate_catalog
-from lookforge.vecmath import normalize
+from lookforge.vecmath import SubspaceParams, normalize
 
 
 @pytest.fixture()
@@ -92,7 +87,7 @@ def test_suppression_uses_unrouted_categories(scenario):
 def test_run_pipeline_aggregates_and_wins(scenario):
     catalog, taxonomy, store, prompt, target = scenario
     result = run_pipeline(
-        catalog, taxonomy, store, prompt, PassThroughJudge()
+        catalog, taxonomy, store, prompt, JudgeClient(ScriptedSource(PASS_SCRIPT))
     )
     assert set(result.plan.target_categories) == {"hat", "legs"}
     assert result.base_look.look_id == "look-base"

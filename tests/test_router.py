@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from lookforge.catalog import Taxonomy
-from lookforge.errors import AdvisorUnavailableError
+from lookforge.errors import JudgeUnavailableError
 from lookforge.router import (
     Concept,
     PromptSpec,
@@ -132,7 +132,7 @@ class FakeAdvisor:
     def advise(self, payload):
         self.payloads.append(payload)
         if self.fail:
-            raise AdvisorUnavailableError("connection refused")
+            raise JudgeUnavailableError("connection refused")
         return self.suggestion
 
 
@@ -173,6 +173,24 @@ def test_advisor_suggestions_are_constraint_checked():
     assert any("exclusion conflict" in w for w in plan.warnings)
     assert any("unknown category" in w for w in plan.warnings)
     assert any("untargeted category" in w for w in plan.warnings)
+
+
+@pytest.mark.parametrize("answer", [
+    {"add_categories": 5},
+    {"add_categories": "hat"},
+    {"add_categories": [{"category_id": ["hat"]}]},
+    {"add_categories": [{"category_id": "hat", "query": 7}]},
+    {"query_rewrites": ["x"]},
+    {"query_rewrites": {"body": 7}},
+], ids=["int_list", "string_list", "list_category", "int_query", "list_rewrites",
+        "int_rewrite"])
+def test_malformed_advisor_answer_leaves_plan_as_routed(answer):
+    spec = PromptSpec(text="a ranger", concepts=(Concept("cap"),))
+    routed = route(spec, make_taxonomy())
+    plan = route(spec, make_taxonomy(), advisor=FakeAdvisor(answer))
+    assert plan.to_dict() == {**routed.to_dict(), "warnings": plan.warnings}
+    assert len(plan.warnings) == len(routed.warnings) + 1
+    assert all(isinstance(q, str) for q in plan.queries.values())
 
 
 def test_advisor_failure_is_nonfatal():

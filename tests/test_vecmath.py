@@ -17,6 +17,7 @@ from lookforge.errors import (
 )
 from lookforge.vecmath import (
     CategorySubspace,
+    SubspaceParams,
     canonical_rows,
     compute_category_subspace,
     fuse,
@@ -111,20 +112,20 @@ def test_subspace_variance_policy_two_directions():
     assert sub.rank == 2
     assert np.allclose(sub.singular_values, [math.sqrt(5.0)] * 2, atol=1e-9)
     # Threshold at exactly the first step keeps rank 1.
-    sub_low = compute_category_subspace("hat", rows, variance_threshold=0.5)
+    sub_low = compute_category_subspace("hat", rows, SubspaceParams(variance_threshold=0.5))
     assert sub_low.rank == 1
 
 
 def test_subspace_fixed_rank_clamped():
     rows = np.eye(3)[:2]
-    sub = compute_category_subspace("hat", rows, rank=10)
+    sub = compute_category_subspace("hat", rows, SubspaceParams(rank=10))
     assert sub.rank == 2  # clamped to n
 
 
 def test_subspace_max_rank_cap():
     rng = np.random.default_rng(1)
     rows = rng.standard_normal((40, 24))
-    sub = compute_category_subspace("hat", rows, max_rank=5)
+    sub = compute_category_subspace("hat", rows, SubspaceParams(max_rank=5))
     assert sub.rank == 5
 
 
@@ -137,15 +138,15 @@ def test_subspace_center_flag():
     # Two antipodal clusters: uncentered SVD spends its first direction on
     # the mean, centered SVD does not.
     rows = np.array([[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.1, 0.0]])
-    plain = compute_category_subspace("c", rows, rank=1)
-    centered = compute_category_subspace("c", rows, rank=1, center=True)
+    plain = compute_category_subspace("c", rows, SubspaceParams(rank=1))
+    centered = compute_category_subspace("c", rows, SubspaceParams(rank=1, center=True))
     assert abs(float(plain.basis[0, 0])) > 0.9
     assert abs(float(centered.basis[1, 0])) > 0.9
 
 
 def test_subspace_basis_orthonormal(rng):
     rows = rng.standard_normal((30, 16))
-    sub = compute_category_subspace("c", rows, rank=6)
+    sub = compute_category_subspace("c", rows, SubspaceParams(rank=6))
     gram = sub.basis.T @ sub.basis
     assert np.allclose(gram, np.eye(6), atol=1e-10)
 
@@ -163,7 +164,7 @@ def test_project_in_and_out_of_subspace():
 def test_project_idempotent(seed):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((12, 8))
-    sub = compute_category_subspace("c", rows, rank=3)
+    sub = compute_category_subspace("c", rows, SubspaceParams(rank=3))
     v = rng.standard_normal(8)
     once = sub.project(v)
     assert np.linalg.norm(sub.project(once) - once) <= 1e-9
