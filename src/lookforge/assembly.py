@@ -5,22 +5,27 @@ The stages, in pipeline order:
 1. :func:`filter_pools` shows each category's top candidates to the judge
    and keeps the survivors.
 2. :func:`assemble_initial` asks the judge for an outfit selection and
-   repairs it into a consistent draft look.
+   places it, core categories first, into the draft base look.
 3. :func:`refine` runs the verify/edit loop until the judge passes the
    look or the iteration budget runs out.
 4. :func:`generate_candidates` produces a diversified slate under
-   per-asset and per-bundle caps with body-bundle rotation.
+   per-asset and per-bundle caps with body-bundle rotation, one placement
+   pass and one refinement per look.
 5. :func:`tournament` reduces the slate to a single winner with batched
    comparisons.
 
-Looks never leave this module in an inconsistent state: every mutation is
-checked against the pool, exclusion, and core-category invariants.
+Looks never leave this module in an inconsistent state: every placement
+and edit is checked against the pool, exclusion (``catalog.excluded_by``)
+and core-category invariants, and a look's ``body_bundle_id`` is read
+from its final selections (``_body_bundle``).
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
+from .catalog import excluded_by
 from .errors import BudgetInfeasibleError, JudgeUnavailableError, MissingCoreCategoryError
 from .retrieval import Candidate
 
@@ -210,14 +215,11 @@ def filter_pools(
 # --- stage 2: initial assembly --------------------------------------------------
 
 
-def _conflicts(cat: str, chosen: dict[str, str],
-               exclusion_groups: tuple[tuple[str, ...], ...]) -> str | None:
-    for group in exclusion_groups:
-        if cat in group:
-            for other in group:
-                if other != cat and other in chosen:
-                    return other
-    return None
+def _body_bundle(
+    look: AvatarLook, bundles: dict[str, str], body_category: str | None
+) -> str | None:
+    """The bundle of the look's selected body asset, read from its selections."""
+    return bundles.get(look.selections.get(body_category))
 
 
 def assemble_initial(
@@ -228,67 +230,53 @@ def assemble_initial(
     exclusion_groups: tuple[tuple[str, ...], ...] = (),
     bundles: dict[str, str] | None = None,
     body_category: str | None = None,
-    look_id: str = "look-000",
 ) -> AvatarLook:
-    """Draft look from the judge's outfit selection.
+    """Draft look ``look-base`` from the judge's outfit selection.
 
-    Judge picks outside the pool are replaced by the pool's top candidate.
-    When two picks land in one exclusion group, the non-core (or later)
-    category is dropped. Required-core categories the judge omitted are
-    filled from the top of their pools; an empty core pool is fatal.
+    Categories are placed in one core-first pass: the judge's core picks
+    in category order, then the core categories it omitted, filled from
+    the top of their pools, then its other picks in category order. Picks
+    outside the pool are replaced by the pool's top candidate, and a
+    category excluded against one already placed is dropped, so core
+    categories win conflicts. An empty core pool is fatal.
     """
-    bundles = bundles or {}
     pool_ids = {cat: [c.asset_id for c in pool] for cat, pool in pools.items()}
     picks = judge.select_outfit(pool_ids, {"required_core": list(required_core)})
-
-    look = AvatarLook(look_id=look_id)
-    for cat in sorted(picks):
-        aid = picks[cat]
-        if cat not in pools:
-            look.history.append(f"dropped pick for unknown category {cat}")
-            continue
-        if aid not in pool_ids[cat]:
-            if not pools[cat]:
-                look.history.append(f"no candidates for {cat}; pick dropped")
-                continue
-            top = pools[cat][0].asset_id
-            look.history.append(f"replaced off-pool pick {aid} with {top} for {cat}")
-            aid = top
-        conflict = _conflicts(cat, look.selections, exclusion_groups)
-        if conflict is not None:
-            # Core categories win conflicts; otherwise the earlier pick stays.
-            if cat in required_core and conflict not in required_core:
-                del look.selections[conflict]
-                look.history.append(
-                    f"dropped {conflict} (excluded against core {cat})"
-                )
-            else:
-                look.history.append(f"dropped {cat} (excluded against {conflict})")
-                continue
-        look.selections[cat] = aid
-
     for cat in required_core:
-        if cat in look.selections:
-            continue
-        pool = pools.get(cat, [])
-        if not pool:
+        if not pools.get(cat):
             raise MissingCoreCategoryError(
                 f"required core category {cat!r} has no usable candidates"
             )
-        conflict = _conflicts(cat, look.selections, exclusion_groups)
-        if conflict is not None:
-            if conflict in required_core:
-                look.history.append(
-                    f"cannot fill {cat}: excluded against core {conflict}"
-                )
-                continue
-            del look.selections[conflict]
-            look.history.append(f"dropped {conflict} (excluded against core {cat})")
-        look.selections[cat] = pool[0].asset_id
-        look.history.append(f"filled core category {cat} with {pool[0].asset_id}")
 
-    if body_category and body_category in look.selections:
-        look.body_bundle_id = bundles.get(look.selections[body_category])
+    look = AvatarLook(look_id="look-base")
+    omitted_core = [cat for cat in dict.fromkeys(required_core) if cat not in picks]
+    core_first = (
+        sorted(cat for cat in picks if cat in required_core)
+        + omitted_core
+        + sorted(cat for cat in picks if cat not in required_core)
+    )
+    for cat in core_first:
+        if cat not in pools:
+            look.history.append(f"dropped pick for unknown category {cat}")
+            continue
+        if not pools[cat]:
+            look.history.append(f"no candidates for {cat}; pick dropped")
+            continue
+        top = pools[cat][0].asset_id
+        aid = picks.get(cat, top)
+        if aid not in pool_ids[cat]:
+            look.history.append(f"replaced off-pool pick {aid} with {top} for {cat}")
+            aid = top
+        conflict = excluded_by(cat, look.selections, exclusion_groups)
+        if conflict is not None:
+            core = "core " if conflict in required_core else ""
+            look.history.append(f"dropped {cat} (excluded against {core}{conflict})")
+            continue
+        look.selections[cat] = aid
+        if cat not in picks:
+            look.history.append(f"filled core category {cat} with {aid}")
+
+    look.body_bundle_id = _body_bundle(look, bundles or {}, body_category)
     return look
 
 
@@ -327,7 +315,7 @@ def _apply_edit(
         if cat in look.selections:
             look.history.append(f"skipped add for already-selected {cat}")
             return False
-        conflict = _conflicts(cat, look.selections, exclusion_groups)
+        conflict = excluded_by(cat, look.selections, exclusion_groups)
         if conflict is not None:
             look.history.append(f"skipped add of {cat} (excluded against {conflict})")
             return False
@@ -430,33 +418,23 @@ def generate_candidates(
         b = bundles.get(aid)
         return b is not None and bundle_use.get(b, 0) >= budget.per_bundle_cap
 
-    def pick_body(target_bundle: str | None) -> str | None:
-        pool = pools.get(body_category, [])
-        if target_bundle is not None:
-            for c in pool:
-                if (
-                    bundles.get(c.asset_id) == target_bundle
-                    and not asset_blocked(c.asset_id)
-                    and not bundle_blocked(c.asset_id)
-                ):
-                    return c.asset_id
-        for c in pool:  # fallback: any unblocked body asset
-            if not asset_blocked(c.asset_id) and not bundle_blocked(c.asset_id):
-                return c.asset_id
-        return None
-
-    def pick_regular(cat: str, look: AvatarLook) -> str | None:
-        if _conflicts(cat, look.selections, exclusion_groups) is not None:
+    def pick(cat: str, look: AvatarLook, target_bundle: str | None) -> str | None:
+        """First candidate the exclusions and caps allow, preferred ones
+        first: the target bundle's bodies for the body category, the base
+        look's pick for the others. The target is None only when no body
+        has a bundle; then every body is preferred and pool order stands."""
+        if excluded_by(cat, look.selections, exclusion_groups) is not None:
             return None
-        pool = pools.get(cat, [])
-        preferred = base_look.selections.get(cat) if base_look else None
-        ordered = pool
-        if preferred is not None and any(c.asset_id == preferred for c in pool):
-            ordered = [c for c in pool if c.asset_id == preferred] + [
-                c for c in pool if c.asset_id != preferred
-            ]
-        for c in ordered:
-            if not asset_blocked(c.asset_id):
+        pool = pools[cat]
+        if cat == body_category:
+            preferred = (c for c in pool if bundles.get(c.asset_id) == target_bundle)
+        else:
+            base_pick = base_look.selections.get(cat) if base_look else None
+            preferred = (c for c in pool if c.asset_id == base_pick)
+        for c in chain(preferred, pool):
+            if not asset_blocked(c.asset_id) and not (
+                cat == body_category and bundle_blocked(c.asset_id)
+            ):
                 return c.asset_id
         return None
 
@@ -475,10 +453,7 @@ def generate_candidates(
                         f"required core category {cat!r} has no candidates"
                     )
                 continue
-            if cat == body_category:
-                aid = pick_body(target_bundle)
-            else:
-                aid = pick_regular(cat, look)
+            aid = pick(cat, look, target_bundle)
             if aid is None:
                 if cat in required_core:
                     raise BudgetInfeasibleError(
@@ -488,8 +463,6 @@ def generate_candidates(
                 look.history.append(f"omitted {cat}: caps or exclusions")
                 continue
             look.selections[cat] = aid
-        if body_category and body_category in look.selections:
-            look.body_bundle_id = bundles.get(look.selections[body_category])
 
         look = refine(
             look,
@@ -499,6 +472,7 @@ def generate_candidates(
             exclusion_groups=exclusion_groups,
             required_core=required_core,
         )
+        look.body_bundle_id = _body_bundle(look, bundles, body_category)
         for aid in look.selections.values():
             asset_use[aid] = asset_use.get(aid, 0) + 1
             b = bundles.get(aid)

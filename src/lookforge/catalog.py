@@ -16,7 +16,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -123,6 +123,21 @@ class Taxonomy:
         if problems:
             raise InvalidTaxonomyError("; ".join(problems))
         return tax
+
+
+def excluded_by(
+    category_id: str,
+    chosen: Container[str],
+    exclusion_groups: tuple[tuple[str, ...], ...],
+) -> str | None:
+    """The first chosen category that shares an exclusion group with
+    ``category_id``, or None when it may join the chosen ones."""
+    for group in exclusion_groups:
+        if category_id in group:
+            for other in group:
+                if other != category_id and other in chosen:
+                    return other
+    return None
 
 
 def read_doc(path: str | Path) -> dict:

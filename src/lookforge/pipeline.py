@@ -112,7 +112,6 @@ def run_assembly(
         exclusion_groups=taxonomy.exclusion_groups,
         bundles=bundles,
         body_category=body_category,
-        look_id="look-base",
     )
     candidates = generate_candidates(
         filtered,

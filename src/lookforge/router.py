@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import Taxonomy, read_doc, write_doc
+from .catalog import Taxonomy, excluded_by, read_doc, write_doc
 from .errors import JudgeUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -70,13 +70,24 @@ class PromptSpec:
         version = doc.get("schema_version", PROMPT_SCHEMA_VERSION)
         if version != PROMPT_SCHEMA_VERSION:
             raise ValueError(f"unsupported prompt schema version {version!r}")
+        concepts = doc.get("concepts", [])
+        if not isinstance(concepts, list):
+            raise ValueError(f"prompt concepts must be a list, got {concepts!r}")
         return cls(
             text=str(doc.get("text", "")),
-            concepts=tuple(
-                Concept(noun=str(c["noun"]), modifiers=tuple(c.get("modifiers", [])))
-                for c in doc.get("concepts", [])
-            ),
+            concepts=tuple(_concept_from_dict(c) for c in concepts),
         )
+
+
+def _concept_from_dict(doc: dict) -> Concept:
+    if not isinstance(doc, dict):
+        raise ValueError(f"prompt concept must be an object, got {doc!r}")
+    noun, modifiers = doc.get("noun"), doc.get("modifiers", [])
+    if not isinstance(noun, str):
+        raise ValueError(f"concept noun must be a string, got {noun!r}")
+    if not isinstance(modifiers, list) or not all(isinstance(m, str) for m in modifiers):
+        raise ValueError(f"concept modifiers must be a list of strings, got {modifiers!r}")
+    return Concept(noun=noun, modifiers=tuple(modifiers))
 
 
 def load_prompt(path: str | Path) -> PromptSpec:
@@ -291,13 +302,6 @@ def route(
     return plan
 
 
-def _violates_exclusion(cid: str, targets: set[str], taxonomy: Taxonomy) -> bool:
-    for group in taxonomy.exclusion_groups:
-        if cid in group and any(t in group and t != cid for t in targets):
-            return True
-    return False
-
-
 def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advisor) -> None:
     """Merge the advisor's answer into the plan; the one place that reads it.
 
@@ -343,7 +347,7 @@ def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advi
         if cid not in taxonomy.categories:
             plan.warnings.append(f"advisor suggested unknown category {cid!r}")
             continue
-        if _violates_exclusion(cid, targets, taxonomy):
+        if excluded_by(cid, targets, taxonomy.exclusion_groups) is not None:
             plan.warnings.append(
                 f"advisor suggestion {cid!r} rejected: exclusion conflict"
             )

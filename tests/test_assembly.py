@@ -199,6 +199,54 @@ def test_assemble_missing_core_pool_is_fatal():
         assemble_initial(pools, judge, required_core=("body",))
 
 
+CONFLICT_POOLS = {
+    "armor": pool("a1"),
+    "body": pool("b1", "b2"),
+    "cape": pool("c1"),
+    "hat": [],
+    "jacket": pool("j1"),
+    "suit": pool("s1"),
+    "sweater": pool("w1"),
+}
+
+
+@pytest.mark.parametrize("picks, core, groups, expected", [
+    ({"armor": "a1", "body": "b2"}, ("body",), (("armor", "body"),), {"body": "b2"}),
+    ({"body": "b2", "cape": "c1"}, ("body",), (("body", "cape"),), {"body": "b2"}),
+    ({"armor": "a1", "cape": "c1"}, ("body",), (("armor", "body"),),
+     {"body": "b1", "cape": "c1"}),
+    ({"body": "b1", "jacket": "j1", "sweater": "w1"}, ("body",),
+     (("jacket", "sweater"),), {"body": "b1", "jacket": "j1"}),
+    ({"body": "ghost", "cape": "c1"}, ("body",), (), {"body": "b1", "cape": "c1"}),
+    ({"body": "b2", "hat": "h1"}, ("body",), (), {"body": "b2"}),
+    ({"body": "b2", "wings": "x1"}, ("body",), (), {"body": "b2"}),
+    ({"body": "b2", "suit": "s1"}, ("body", "suit"), (("body", "suit"),), {"body": "b2"}),
+    ({"suit": "s1"}, ("body", "suit"), (("body", "suit"),), {"suit": "s1"}),
+], ids=["core_after_group_mate", "core_before_group_mate", "core_omitted_mate_picked",
+        "two_non_core_in_group", "off_pool_core", "empty_non_core_pool",
+        "unknown_category", "two_core_in_group", "two_core_in_group_one_omitted"])
+def test_assemble_conflict_table(picks, core, groups, expected):
+    judge, _ = scripted({"select_outfit": [{"select": picks}]})
+    look = assemble_initial(
+        CONFLICT_POOLS, judge, required_core=core, exclusion_groups=groups
+    )
+    assert look.selections == expected
+
+
+@pytest.mark.parametrize("picks", [
+    {"cape": "c1", "hat": "h1", "torso": "t1"},
+    {"cape": "c1", "hat": "h1"},
+], ids=["core_picked", "core_omitted"])
+def test_assemble_core_wins_every_group(picks):
+    # the core category shares one group with each non-core pick
+    pools = {"cape": pool("c1"), "hat": pool("h1"), "torso": pool("t1")}
+    groups = (("cape", "torso"), ("hat", "torso"))
+    judge, _ = scripted({"select_outfit": [{"select": picks}]})
+    look = assemble_initial(pools, judge, required_core=("torso",), exclusion_groups=groups)
+    assert look.selections == {"torso": "t1"}
+    assert validate_look(look, pools, groups, ("torso",)) == []
+
+
 def test_assemble_drops_unknown_category_pick():
     judge, _ = scripted({"select_outfit": [{"select": {"wings": "w1", "body": "b1"}}]})
     look = assemble_initial(BASE_POOLS, judge, required_core=("body",))
@@ -484,6 +532,40 @@ def test_generate_candidates_exclusions_within_look():
     for lk in looks:
         assert "jacket" in lk.selections
         assert "sweater" not in lk.selections
+
+
+def test_generate_candidates_body_bundle_follows_refined_body():
+    judge = JudgeClient(ScriptedSource({"verify": [
+        {"verdict": "fail", "edits": [{"action": "replace", "category_id": "body",
+                                       "asset_id": "b2"}]},
+        {"verdict": "pass"},
+    ]}))
+    (look,) = generate_candidates(
+        {"body": pool("b1", "b2")},
+        judge,
+        GenerationBudget(n_candidates=1),
+        required_core=(),
+        bundles={"b1": "bundle-1", "b2": "bundle-2"},
+        body_category="body",
+    )
+    assert look.selections == {"body": "b2"}
+    assert look.body_bundle_id == "bundle-2"
+
+
+def test_generate_candidates_body_pick_checks_exclusions():
+    pools = {"armor": pool("a1", "a2"), "body": pool("b1", "b2")}
+    groups = (("armor", "body"),)
+    looks = generate_candidates(
+        pools,
+        passing_judge(),
+        GenerationBudget(n_candidates=2),
+        required_core=(),
+        exclusion_groups=groups,
+        bundles={"b1": "B1", "b2": "B2"},
+        body_category="body",
+    )
+    for lk in looks:
+        assert validate_look(lk, pools, groups, ()) == []
 
 
 # --- tournament ------------------------------------------------------------------------

@@ -233,3 +233,17 @@ def test_prompt_load_rejects_unknown_schema(tmp_path):
     path.write_text('{"schema_version": 99, "text": "x"}')
     with pytest.raises(ValueError, match="schema version"):
         load_prompt(path)
+
+
+@pytest.mark.parametrize("concepts", [
+    [{"noun": "hoodie", "modifiers": "zip"}],
+    [{"noun": "hoodie", "modifiers": ["zip-up", 7]}],
+    [{"noun": ["hoodie"]}],
+    [{"modifiers": ["zip"]}],
+    ["hoodie"],
+    {"noun": "hoodie"},
+], ids=["string_modifiers", "non_string_modifier", "non_string_noun", "missing_noun",
+        "string_concept", "object_concepts"])
+def test_prompt_rejects_malformed_concepts(concepts):
+    with pytest.raises(ValueError):
+        PromptSpec.from_dict({"text": "a hoodie", "concepts": concepts})
