@@ -6,7 +6,8 @@ function or method (names without a leading underscore, ``__init__``
 included) or a field with a default of a public dataclass. Each one is a
 knob a caller can turn, so the count tracks how many configurations the
 code has to support.
-Every value is listed as ``path:line  name``, then the total.
+Every value is listed as ``path:line  name``, then the total, then the
+package's line count (``lines <n>``, all ``*.py`` files).
 
 Usage:
     python scripts/count_settable.py [package dir, default src/lookforge]
@@ -71,12 +72,14 @@ def settable_values(path: Path) -> list[tuple[int, str]]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     package = Path(argv[0]) if argv else DEFAULT_PACKAGE
-    total = 0
+    total = lines = 0
     for path in sorted(package.glob("*.py")):
         for line, name in settable_values(path):
             print(f"{path.name}:{line}  {name}")
             total += 1
+        lines += len(path.read_text(encoding="utf-8").splitlines())
     print(f"total {total}")
+    print(f"lines {lines}")
     return 0
 
 

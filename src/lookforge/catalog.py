@@ -8,6 +8,9 @@ Catalogs arrive as JSONL, one asset per line:
 ``bundle_id`` is optional. Bad records are skipped and reported per line;
 only a dimension mismatch between otherwise-valid records aborts the
 ingest, because a mixed-dimension catalog cannot be indexed at all.
+``title`` and ``quality_flag`` are required and validated but not kept:
+the catalog holds what retrieval reads, one id-ordered matrix per
+category, plus each asset's bundle id.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,16 +38,6 @@ QUALITY_FLAGS = frozenset({"curated", "unfiltered"})
 
 TAXONOMY_SCHEMA_VERSION = 1
 REQUIRED_ASSET_FIELDS = ("asset_id", "category_id", "embedding", "title", "quality_flag")
-
-
-@dataclass(frozen=True)
-class Asset:
-    asset_id: str
-    category_id: str
-    embedding: np.ndarray
-    title: str
-    quality_flag: str
-    bundle_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -80,6 +73,9 @@ class Taxonomy:
         for group in self.exclusion_groups:
             if len(group) < 2:
                 problems.append(f"exclusion group {list(group)} has fewer than 2 members")
+            core = [c for c in group if c in self.required_core]
+            if len(core) > 1:  # no look could hold them all
+                problems.append(f"exclusion group {list(group)} holds required core {core}")
             for c in group:
                 if c not in declared:
                     problems.append(f"exclusion group references unknown category {c!r}")
@@ -208,60 +204,67 @@ class IngestReport:
             "rejections": [asdict(r) for r in self.rejections],
             "dimension": catalog.dimension,
             "categories": {
-                c: len(catalog.assets_of(c)) for c in catalog.taxonomy.categories
+                c: len(catalog.embedding_matrix(c)[0]) for c in catalog.taxonomy.categories
             },
         }
 
 
 class AssetCatalog:
-    """In-memory asset store keyed by asset id, grouped by category."""
+    """Each category's asset ids in ascending order and one read-only
+    float64 n x d matrix whose rows follow them, plus ``bundles`` (asset
+    id -> bundle id, for the assets that have one).
 
-    def __init__(self, taxonomy: Taxonomy, dimension: int | None = None) -> None:
+    ``rows`` maps a category id to (asset ids, matrix with one row per id)
+    in any row order; categories left out are empty. The catalog owns each
+    matrix and keeps one already in id order without a copy. Raises
+    :class:`UnknownCategoryError` for a category outside the taxonomy,
+    :class:`DimensionMismatchError` when a matrix does not fit its ids or
+    the first matrix's dimension, and ``ValueError`` for a repeated id.
+    """
+
+    def __init__(
+        self,
+        taxonomy: Taxonomy,
+        rows: Mapping[str, tuple[Sequence[str], np.ndarray]],
+        bundles: Mapping[str, str] | None = None,
+    ) -> None:
+        unknown = sorted(set(rows) - set(taxonomy.categories))
+        if unknown:
+            raise UnknownCategoryError(f"unknown category {unknown[0]!r}")
         self.taxonomy = taxonomy
-        self.dimension = dimension
-        self._assets: dict[str, Asset] = {}
-        self._by_category: dict[str, list[str]] = {c: [] for c in taxonomy.categories}
+        self.bundles = dict(bundles or {})
+        self.dimension = next((int(np.shape(m)[1]) for _, m in rows.values()), None)
+        self._categories: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+        seen: set[str] = set()
+        for cid in taxonomy.categories:
+            ids, matrix = rows.get(cid, ((), np.empty((0, self.dimension or 0))))
+            matrix = np.asarray(matrix, dtype=np.float64)
+            if matrix.shape != (len(ids), self.dimension or 0):
+                raise DimensionMismatchError(
+                    f"category {cid!r} has {len(ids)} ids and a matrix of shape "
+                    f"{matrix.shape}; catalog dimension is {self.dimension}"
+                )
+            if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+                raise ValueError(f"duplicate asset id in category {cid!r}")
+            seen.update(ids)
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            matrix = matrix.view() if order == sorted(order) else matrix[order]
+            matrix.flags.writeable = False
+            self._categories[cid] = (tuple(ids[k] for k in order), matrix)
 
-    def __contains__(self, asset_id: str) -> bool:
-        return asset_id in self._assets
-
-    def add(self, asset: Asset) -> None:
-        if asset.category_id not in self._by_category:
-            raise UnknownCategoryError(f"unknown category {asset.category_id!r}")
-        if self.dimension is None:
-            self.dimension = int(asset.embedding.shape[0])
-        elif asset.embedding.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"asset {asset.asset_id!r} has dimension {asset.embedding.shape[0]}, "
-                f"catalog has {self.dimension}"
-            )
-        if asset.asset_id in self._assets:
-            raise ValueError(f"duplicate asset id {asset.asset_id!r}")
-        self._assets[asset.asset_id] = asset
-        self._by_category[asset.category_id].append(asset.asset_id)
-
-    def assets_of(self, category_id: str) -> list[Asset]:
-        """Assets in one category, sorted by ascending asset id."""
-        if category_id not in self._by_category:
+    def embedding_matrix(self, category_id: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """(asset ids, read-only embedding matrix) for a category, in
+        asset-id order; the stored values, not copies."""
+        if category_id not in self._categories:
             raise UnknownCategoryError(f"unknown category {category_id!r}")
-        return [self._assets[a] for a in sorted(self._by_category[category_id])]
-
-    def embedding_matrix(self, category_id: str) -> tuple[list[str], np.ndarray]:
-        """(asset_ids, stacked embeddings) for a category, in asset-id order."""
-        assets = self.assets_of(category_id)
-        if not assets:
-            d = self.dimension or 0
-            return [], np.empty((0, d), dtype=np.float64)
-        ids = [a.asset_id for a in assets]
-        return ids, np.vstack([a.embedding for a in assets])
-
-    def iter_assets(self) -> Iterator[Asset]:
-        for aid in sorted(self._assets):
-            yield self._assets[aid]
+        return self._categories[category_id]
 
 
-def _parse_record(doc: dict, taxonomy: Taxonomy, dimension: int | None) -> Asset:
-    """Validate one parsed JSONL record. Raises ValueError with a reason tag."""
+def _parse_record(
+    doc: dict, taxonomy: Taxonomy, dimension: int | None
+) -> tuple[str, str, np.ndarray, str | None]:
+    """Validate one parsed JSONL record into (asset id, category id,
+    embedding, bundle id). Raises ValueError with a reason tag."""
     for field_name in REQUIRED_ASSET_FIELDS:
         if field_name not in doc:
             raise ValueError(f"missing_field: {field_name}")
@@ -291,32 +294,31 @@ def _parse_record(doc: dict, taxonomy: Taxonomy, dimension: int | None) -> Asset
     bundle = doc.get("bundle_id")
     if bundle is not None and not isinstance(bundle, str):
         raise ValueError("bad_bundle_id: bundle_id must be a string when present")
-    return Asset(
-        asset_id=asset_id,
-        category_id=category_id,
-        embedding=emb,
-        title=str(doc["title"]),
-        quality_flag=flag,
-        bundle_id=bundle,
-    )
+    return asset_id, category_id, emb, bundle
 
 
 def ingest_catalog(
     source: str | Path | Iterable[str],
     taxonomy: Taxonomy,
 ) -> tuple[AssetCatalog, IngestReport]:
-    """Stream a JSONL catalog into memory.
+    """Stream a JSONL catalog into memory, one line at a time.
 
     Returns the catalog plus a report of skipped lines. Raises
     :class:`DimensionMismatchError` if valid records disagree on embedding
-    dimension (the first valid record fixes it).
+    dimension (the first valid record fixes it). Each category's rows go
+    straight into a matrix that doubles when full, so neither the file
+    nor per-row arrays are held.
     """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            return ingest_catalog(list(fh), taxonomy)
+            return ingest_catalog(fh, taxonomy)
 
-    catalog = AssetCatalog(taxonomy)
     report = IngestReport()
+    dimension: int | None = None
+    ids: dict[str, list[str]] = {}
+    buffers: dict[str, np.ndarray] = {}
+    bundles: dict[str, str] = {}
+    seen: set[str] = set()
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
@@ -330,32 +332,30 @@ def ingest_catalog(
             report.reject(line_no, "malformed_json", "record is not an object")
             continue
         try:
-            asset = _parse_record(doc, taxonomy, catalog.dimension)
+            asset_id, category_id, emb, bundle = _parse_record(doc, taxonomy, dimension)
         except DimensionMismatchError:
             raise
         except ValueError as exc:
             reason, _, detail = str(exc).partition(": ")
             report.reject(line_no, reason, detail)
             continue
-        if asset.asset_id in catalog:
-            report.reject(line_no, "duplicate_asset_id", asset.asset_id)
+        if asset_id in seen:
+            report.reject(line_no, "duplicate_asset_id", asset_id)
             continue
-        catalog.add(asset)
+        seen.add(asset_id)
+        dimension = emb.shape[0]
+        cat_ids = ids.setdefault(category_id, [])
+        n = len(cat_ids)
+        buf = buffers.get(category_id)
+        if buf is None or n == len(buf):
+            grown = np.empty((max(2 * n, 64), dimension), dtype=np.float64)
+            if buf is not None:
+                grown[:n] = buf
+            buffers[category_id] = buf = grown
+        buf[n] = emb
+        cat_ids.append(asset_id)
+        if bundle is not None:
+            bundles[asset_id] = bundle
         report.n_loaded += 1
-    return catalog, report
-
-
-def export_catalog(catalog: AssetCatalog, path: str | Path) -> None:
-    """Write the catalog back out as JSONL in ascending asset-id order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for asset in catalog.iter_assets():
-            doc = {
-                "asset_id": asset.asset_id,
-                "category_id": asset.category_id,
-                "embedding": [float(x) for x in asset.embedding],
-                "title": asset.title,
-                "quality_flag": asset.quality_flag,
-            }
-            if asset.bundle_id is not None:
-                doc["bundle_id"] = asset.bundle_id
-            fh.write(json.dumps(doc, sort_keys=True) + "\n")
+    rows = {cid: (cat_ids, buffers[cid][: len(cat_ids)]) for cid, cat_ids in ids.items()}
+    return AssetCatalog(taxonomy, rows, bundles), report

@@ -31,7 +31,7 @@ from .evalsuite import ABLATIONS, markdown_table, run_interference_suite
 from .evidence import load_evidence
 from .index import MANIFEST_FILE, build_indices, load_snapshots, save_snapshots
 from .judge import DEFAULT_HTTP_TIMEOUT, PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
-from .pipeline import bundle_map, run_assembly, run_retrieval
+from .pipeline import run_assembly, run_retrieval
 from .retrieval import RetrievalConfig, pools_from_dict, pools_to_dict
 from .router import load_prompt, plan_from_dict, plan_to_dict, route
 from .synth import generate_pipeline_scenario
@@ -250,7 +250,7 @@ def cmd_assemble(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
         judge,
         cfg.budget,
         taxonomy=taxonomy,
-        bundles=bundle_map(catalog),
+        bundles=catalog.bundles,
         body_category=cfg.body_category,
         gate_k=cfg.retrieval.gate_k,
     )

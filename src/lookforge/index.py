@@ -72,7 +72,7 @@ class CategoryIndex:
         self.asset_ids = list(asset_ids)
         if _canonical is not None:
             matrix = np.asarray(_canonical, dtype=np.float32)
-        elif embeddings is not None and len(asset_ids) > 0:
+        elif embeddings is not None:
             matrix = canonical_rows(embeddings)
         else:
             if dimension is None:
@@ -179,14 +179,7 @@ class CategoryIndex:
 def build_indices(catalog, categories: list[str] | None = None) -> dict[str, CategoryIndex]:
     """Build one index per (requested) category from an ingested catalog."""
     cats = list(categories) if categories is not None else list(catalog.taxonomy.categories)
-    out: dict[str, CategoryIndex] = {}
-    for cid in cats:
-        ids, m = catalog.embedding_matrix(cid)
-        if ids:
-            out[cid] = CategoryIndex(cid, ids, m)
-        else:
-            out[cid] = CategoryIndex(cid, [], dimension=catalog.dimension or 0)
-    return out
+    return {cid: CategoryIndex(cid, *catalog.embedding_matrix(cid)) for cid in cats}
 
 
 def save_snapshots(

@@ -59,12 +59,6 @@ class PipelineResult(AssemblyResult):
     retrievals: dict[str, CategoryRetrieval]
 
 
-def bundle_map(catalog: AssetCatalog) -> dict[str, str]:
-    return {
-        a.asset_id: a.bundle_id for a in catalog.iter_assets() if a.bundle_id is not None
-    }
-
-
 def run_retrieval(
     plan: RoutingPlan,
     catalog: AssetCatalog,
@@ -149,7 +143,7 @@ def run_pipeline(
         judge,
         budget,
         taxonomy=taxonomy,
-        bundles=bundle_map(catalog),
+        bundles=catalog.bundles,
         body_category=body_category,
         gate_k=retrieval_cfg.gate_k,
     )

@@ -19,13 +19,14 @@ as the index, independent scoring loop and sort.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import GenerationBudget
-from .catalog import Asset, AssetCatalog, Taxonomy, export_catalog, save_taxonomy, write_doc
+from .catalog import AssetCatalog, Taxonomy, save_taxonomy, write_doc
 from .errors import InfeasibleSpecError, ScenarioConstructionFailedError
 from .evidence import EvidenceStore, PartEvidence, save_evidence
 from .index import CategoryIndex
@@ -168,26 +169,36 @@ def generate_catalog(
     if taxonomy is None:
         taxonomy = Taxonomy(categories=tuple(c.category_id for c in spec.categories))
     bases = build_bases(spec, rng)
-    catalog = AssetCatalog(taxonomy, dimension=spec.d)
+    rows: dict[str, tuple[list[str], np.ndarray]] = {}
+    bundles: dict[str, str] = {}
     for cat in spec.categories:
-        rows = build_assets(bases[cat.category_id], cat.n_assets, spec.noise_sigma, rng)
-        for i in range(cat.n_assets):
-            bundle = (
-                f"{cat.category_id}-bnd-{i % cat.bundle_count}"
-                if cat.bundle_count
-                else None
+        ids = [asset_id_for(cat.category_id, i) for i in range(cat.n_assets)]
+        rows[cat.category_id] = (
+            ids, build_assets(bases[cat.category_id], cat.n_assets, spec.noise_sigma, rng)
+        )
+        if cat.bundle_count:
+            bundles.update(
+                (aid, f"{cat.category_id}-bnd-{i % cat.bundle_count}")
+                for i, aid in enumerate(ids)
             )
-            catalog.add(
-                Asset(
-                    asset_id=asset_id_for(cat.category_id, i),
-                    category_id=cat.category_id,
-                    embedding=rows[i],
-                    title=f"synthetic {cat.category_id} {i}",
-                    quality_flag="curated",
-                    bundle_id=bundle,
-                )
-            )
+    catalog = AssetCatalog(taxonomy, rows, bundles)
     return catalog, bases
+
+
+def _write_catalog(catalog: AssetCatalog, path: str | Path) -> None:
+    """Write a generated catalog as the JSONL ``ingest_catalog`` reads, in
+    ascending asset-id order; titles number assets as :func:`asset_id_for`."""
+    lines: dict[str, str] = {}
+    for cid in catalog.taxonomy.categories:
+        for aid, row in zip(*catalog.embedding_matrix(cid)):
+            doc = {"asset_id": aid, "category_id": cid, "embedding": row.tolist(),
+                   "title": f"synthetic {cid} {int(aid.rsplit('-', 1)[1])}",
+                   "quality_flag": "curated"}
+            if aid in catalog.bundles:
+                doc["bundle_id"] = catalog.bundles[aid]
+            lines[aid] = json.dumps(doc, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[aid] for aid in sorted(lines))
 
 
 # --- reference ranking oracle ---------------------------------------------------
@@ -482,7 +493,7 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
         "attempts": attempt,
     }
 
-    export_catalog(catalog, out / "catalog.jsonl")
+    _write_catalog(catalog, out / "catalog.jsonl")
     save_taxonomy(taxonomy, out / "taxonomy.json")
     save_prompt(prompt, out / "prompt.json")
     save_evidence(store, out / "evidence.json")

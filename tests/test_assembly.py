@@ -446,6 +446,24 @@ def test_generate_candidates_caps_and_rotation():
     assert [lk.selections["hat"] for lk in looks] == ["h1", "h1", "h2", "h2", "h3", "h3"]
 
 
+def test_generate_candidates_bundle_cap_binds_body_picks_only():
+    # hats carry a bundle id too, but only body picks check the bundle cap,
+    # so the base look's hat repeats until its asset cap binds
+    bundles = {"b1": "B1", "b2": "B2", "h1": "H", "h2": "H"}
+    looks = generate_candidates(
+        {"body": pool("b1", "b2"), "hat": pool("h1", "h2")},
+        passing_judge(),
+        GenerationBudget(n_candidates=2, per_asset_cap=2, per_bundle_cap=1),
+        required_core=("body",),
+        bundles=bundles,
+        body_category="body",
+    )
+    assert [lk.selections for lk in looks] == [
+        {"body": "b1", "hat": "h1"},
+        {"body": "b2", "hat": "h1"},
+    ]
+
+
 def test_generate_candidates_core_infeasible():
     pools = {"body": pool("b1"), "hat": pool("h1", "h2", "h3")}
     with pytest.raises(BudgetInfeasibleError):

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from lookforge.catalog import (
-    Asset,
     AssetCatalog,
     Taxonomy,
-    export_catalog,
     ingest_catalog,
     load_taxonomy,
     read_doc,
@@ -21,6 +19,7 @@ from lookforge.errors import (
     InvalidTaxonomyError,
     UnknownCategoryError,
 )
+from lookforge.synth import CategorySpec, SynthSpec, _write_catalog, generate_catalog
 
 
 def make_taxonomy() -> Taxonomy:
@@ -51,7 +50,7 @@ def test_ingest_happy_path():
     assert report.n_loaded == 2
     assert report.n_rejected == 0
     assert cat.dimension == 2
-    assert [a.asset_id for a in cat.assets_of("hat")] == ["a1", "a2"]
+    assert cat.embedding_matrix("hat")[0] == ("a1", "a2")
 
 
 def test_ingest_skips_bad_records_with_reasons():
@@ -108,13 +107,13 @@ def test_ingest_blank_lines_ignored():
     assert report.n_rejected == 0
 
 
-def test_assets_of_sorted_and_unknown_category():
+def test_embedding_matrix_sorted_and_unknown_category():
     tax = make_taxonomy()
     cat, _ = ingest_catalog([line("z9"), line("a1"), line("m5")], tax)
-    assert [a.asset_id for a in cat.assets_of("hat")] == ["a1", "m5", "z9"]
-    assert cat.assets_of("body") == []
+    assert cat.embedding_matrix("hat")[0] == ("a1", "m5", "z9")
+    assert cat.embedding_matrix("body")[0] == ()
     with pytest.raises(UnknownCategoryError):
-        cat.assets_of("pants")
+        cat.embedding_matrix("pants")
 
 
 def test_embedding_matrix_order_matches_ids():
@@ -123,33 +122,63 @@ def test_embedding_matrix_order_matches_ids():
         [line("b", emb=(0.0, 1.0)), line("a", emb=(1.0, 0.0))], tax
     )
     ids, m = cat.embedding_matrix("hat")
-    assert ids == ["a", "b"]
+    assert ids == ("a", "b")
     assert np.allclose(m, [[1.0, 0.0], [0.0, 1.0]])
     ids_empty, m_empty = cat.embedding_matrix("body")
-    assert ids_empty == [] and m_empty.shape == (0, 2)
+    assert ids_empty == () and m_empty.shape == (0, 2)
 
 
-def test_catalog_add_rejects_unknown_category():
-    cat = AssetCatalog(make_taxonomy())
+def test_embedding_matrix_is_the_stored_parse_in_id_order(rng):
+    # more rows than the first ingest buffer holds, in shuffled id order
+    tax = make_taxonomy()
+    lines = [
+        line(f"{cid}-{i:03d}", category=cid, emb=rng.standard_normal(3).tolist())
+        for cid in ("hat", "jacket") for i in range(150)
+    ]
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    cat, _ = ingest_catalog(lines, tax)
+    docs = sorted((json.loads(ln) for ln in lines), key=lambda d: d["asset_id"])
+    for cid in ("hat", "jacket"):
+        ids, m = cat.embedding_matrix(cid)
+        again_ids, again = cat.embedding_matrix(cid)
+        assert again_ids is ids and np.shares_memory(again, m)
+        assert not m.flags.writeable
+        want = [d for d in docs if d["category_id"] == cid]
+        assert ids == tuple(d["asset_id"] for d in want)
+        np.testing.assert_array_equal(m, np.array([d["embedding"] for d in want]))
+
+
+def test_catalog_rejects_unknown_category():
     with pytest.raises(UnknownCategoryError):
-        cat.add(
-            Asset("x", "pants", np.array([1.0, 0.0]), "t", "curated")
-        )
+        AssetCatalog(make_taxonomy(), {"pants": (["x"], np.array([[1.0, 0.0]]))})
+
+
+def test_catalog_rejects_mixed_dimensions_and_repeated_ids():
+    tax = make_taxonomy()
+    with pytest.raises(DimensionMismatchError):
+        AssetCatalog(tax, {"hat": (["a"], np.ones((1, 2))), "body": (["b"], np.ones((1, 3)))})
+    with pytest.raises(ValueError, match="duplicate"):
+        AssetCatalog(tax, {"hat": (["a"], np.ones((1, 2))), "body": (["a"], np.ones((1, 2)))})
 
 
 def test_bundle_id_round_trip(tmp_path):
     tax = make_taxonomy()
     cat, _ = ingest_catalog([line("a1", bundle_id="bundle-7"), line("a2")], tax)
-    a1, a2 = cat.iter_assets()
-    assert a1.bundle_id == "bundle-7"
-    assert a2.bundle_id is None
-    out = tmp_path / "out.jsonl"
-    export_catalog(cat, out)
-    cat2, report2 = ingest_catalog(out, tax)
-    assert report2.n_rejected == 0
-    b1, _ = cat2.iter_assets()
-    assert b1.bundle_id == "bundle-7"
-    assert np.allclose(b1.embedding, a1.embedding)
+    assert cat.bundles == {"a1": "bundle-7"}
+    # the JSONL synth writes ingests back to the catalog it came from
+    spec = SynthSpec(
+        d=8, categories=(CategorySpec("body", 2, 7, bundle_count=3), CategorySpec("hat", 2, 5)),
+    )
+    made, _ = generate_catalog(spec)
+    _write_catalog(made, tmp_path / "out.jsonl")
+    back, report = ingest_catalog(tmp_path / "out.jsonl", made.taxonomy)
+    assert report.n_rejected == 0
+    assert back.bundles == made.bundles and len(made.bundles) == 7
+    for cid in ("body", "hat"):
+        ids, rows = made.embedding_matrix(cid)
+        back_ids, back_rows = back.embedding_matrix(cid)
+        assert back_ids == ids
+        np.testing.assert_array_equal(back_rows, rows)
 
 
 def test_taxonomy_validation_catches_structural_problems():
@@ -168,6 +197,20 @@ def test_taxonomy_validation_catches_structural_problems():
     assert any("unknown view 'top'" in p for p in problems)
     assert any("required core references unknown" in p for p in problems)
     assert make_taxonomy().validate() == []
+
+
+def test_taxonomy_rejects_two_core_categories_in_one_group(tmp_path):
+    # no look could hold both, so assembly would fail later and blame caps
+    tax = Taxonomy(
+        categories=("body", "hat", "suit"),
+        exclusion_groups=(("body", "suit"),),
+        required_core=("body", "suit"),
+    )
+    assert tax.validate() == ["exclusion group ['body', 'suit'] holds required core ['body', 'suit']"]
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps(tax.to_dict()))
+    with pytest.raises(InvalidTaxonomyError, match="required core"):
+        load_taxonomy(path)
 
 
 def test_taxonomy_file_round_trip(tmp_path):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 
+import numpy as np
 import pytest
 
 from lookforge.catalog import ingest_catalog, load_taxonomy, read_doc
@@ -175,6 +177,54 @@ class TestStageCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "route.FileNotFound"
         assert err["error"]["stage"] == "route"
+
+    def test_conflicting_core_taxonomy_is_stage_prefixed(self, tmp_path, capsys):
+        # two required-core categories in one exclusion group fail at load,
+        # not later in assembly as a caps error
+        root = tmp_path / "scn"
+        generate_pipeline_scenario(root, seed=5)
+        tax = read_doc(root / "taxonomy.json")
+        tax["exclusion_groups"].append(["body", "pants"])
+        tax["required_core"] = ["body", "pants"]
+        (root / "taxonomy.json").write_text(json.dumps(tax))
+        assert main(["route", "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "route.InvalidTaxonomy"
+
+    def test_catalog_line_order_changes_nothing(self, demo, tmp_path, capsys):
+        # ingest sorts each category by asset id, so a shuffled catalog
+        # yields the same catalog and byte-identical stage documents
+        lines = (demo / "catalog.jsonl").read_text().splitlines(keepends=True)
+        taxonomy = load_taxonomy(demo / "taxonomy.json")
+        reference, _ = ingest_catalog(demo / "catalog.jsonl", taxonomy)
+        outputs = ("ingest_report.json", "plan.json", "pools.json", "look.json")
+        for seed in (1, 2, 3):
+            root = tmp_path / f"order-{seed}"
+            root.mkdir()
+            for name in ("taxonomy.json", "prompt.json", "evidence.json", "judge.json",
+                         "config.json"):
+                (root / name).write_bytes((demo / name).read_bytes())
+            shuffled = list(lines)
+            random.Random(seed).shuffle(shuffled)
+            assert shuffled != lines
+            (root / "catalog.jsonl").write_text("".join(shuffled))
+
+            catalog, _ = ingest_catalog(root / "catalog.jsonl", taxonomy)
+            assert catalog.bundles == reference.bundles
+            for cid in taxonomy.categories:
+                ids, rows = catalog.embedding_matrix(cid)
+                ref_ids, ref_rows = reference.embedding_matrix(cid)
+                assert ids == ref_ids
+                np.testing.assert_array_equal(rows, ref_rows)
+
+            cfg_arg = ["--config", str(root / "config.json")]
+            for command in ("ingest", "build-index", "route", "retrieve", "assemble"):
+                assert main([command, *cfg_arg]) == 0, command
+            capsys.readouterr()
+            for name in outputs:
+                assert (root / "output" / name).read_bytes() == (
+                    demo / "output" / name
+                ).read_bytes(), (seed, name)
 
     def test_retrieve_before_route_fails_cleanly(self, tmp_path, capsys):
         root = tmp_path / "fresh"

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from lookforge.catalog import Asset, AssetCatalog, Taxonomy
+from lookforge.catalog import Taxonomy
 from lookforge.evidence import EvidenceStore, PartEvidence
 from lookforge.index import CategoryIndex, build_indices
 from lookforge.judge import PASS_SCRIPT, JudgeClient, ScriptedSource
-from lookforge.pipeline import bundle_map, run_pipeline, run_retrieval
+from lookforge.pipeline import run_pipeline, run_retrieval
 from lookforge.retrieval import RetrievalConfig
 from lookforge.router import Concept, PromptSpec, route
 from lookforge.synth import CategorySpec, SynthSpec, generate_catalog
@@ -112,11 +112,3 @@ def test_subspace_params_flow_through(scenario):
         != [c.asset_id for c in skinny[cat].pool]
         for cat in plan.target_categories
     )
-
-
-def test_bundle_map():
-    taxonomy = Taxonomy(categories=("body",))
-    catalog = AssetCatalog(taxonomy, dimension=2)
-    catalog.add(Asset("b-0", "body", np.array([1.0, 0.0]), "x", "curated", "bnd-0"))
-    catalog.add(Asset("b-1", "body", np.array([0.0, 1.0]), "x", "curated"))
-    assert bundle_map(catalog) == {"b-0": "bnd-0"}

@@ -169,6 +169,23 @@ def test_residual_collapse_falls_back_to_text_prior():
     assert out[0].asset_id == "tg"
 
 
+def test_small_residual_is_not_collapsed():
+    # g lies in the legs subspace except for a 1e-2 component along e3:
+    # the residual is small but real, so it must steer the query, not the
+    # text prior alone (which favours "prior")
+    idx = CategoryIndex("top", ["prior", "resid"], np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.2, 0.0, 1.0, 0.0],
+    ]))
+    g = normalize([0.0, 1.0, 1e-2, 0.0])
+    legs = CategorySubspace("legs", np.eye(4)[:, 1:2], 1, np.array([1.0]))
+    out, collapsed = retrieve_concept_residual(
+        idx, g, [1.0, 0.0, 0.0, 0.0], {"legs": legs}, RetrievalConfig(branch_k=2)
+    )
+    assert not collapsed
+    assert [c.asset_id for c in out] == ["resid", "prior"]
+
+
 # --- retrieve_category -------------------------------------------------------
 
 

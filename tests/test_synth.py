@@ -118,9 +118,9 @@ class TestGenerateCatalog:
     def test_ids_and_counts(self):
         spec = small_spec()
         catalog, bases = generate_catalog(spec)
-        assert catalog.assets_of("hat")[0].asset_id == "hat-000"
-        assert len(catalog.assets_of("hat")) == 10
-        assert len(catalog.assets_of("legs")) == 10
+        assert catalog.embedding_matrix("hat")[0][0] == "hat-000"
+        assert len(catalog.embedding_matrix("hat")[0]) == 10
+        assert catalog.embedding_matrix("legs")[1].shape == (10, 16)
         assert bases["hat"].shape == (16, 3)
 
     def test_bundle_round_robin(self):
@@ -128,7 +128,7 @@ class TestGenerateCatalog:
             categories=(CategorySpec("body", 3, 7, bundle_count=3),)
         )
         catalog, _ = generate_catalog(spec)
-        bundles = [a.bundle_id for a in catalog.assets_of("body")]
+        bundles = [catalog.bundles[aid] for aid in catalog.embedding_matrix("body")[0]]
         assert bundles == [
             "body-bnd-0", "body-bnd-1", "body-bnd-2",
             "body-bnd-0", "body-bnd-1", "body-bnd-2", "body-bnd-0",
@@ -136,14 +136,16 @@ class TestGenerateCatalog:
 
     def test_no_bundles_by_default(self):
         catalog, _ = generate_catalog(small_spec())
-        assert all(a.bundle_id is None for a in catalog.iter_assets())
+        assert catalog.bundles == {}
 
     def test_deterministic_for_seed(self):
         c1, _ = generate_catalog(small_spec(seed=5))
         c2, _ = generate_catalog(small_spec(seed=5))
-        for a1, a2 in zip(c1.iter_assets(), c2.iter_assets()):
-            assert a1.asset_id == a2.asset_id
-            np.testing.assert_array_equal(a1.embedding, a2.embedding)
+        for cid in ("hat", "legs"):
+            ids1, rows1 = c1.embedding_matrix(cid)
+            ids2, rows2 = c2.embedding_matrix(cid)
+            assert ids1 == ids2
+            np.testing.assert_array_equal(rows1, rows2)
 
 
 class TestBruteForce:
@@ -180,7 +182,7 @@ class TestBruteForce:
     def test_empty_category_and_bad_k(self):
         from lookforge.catalog import AssetCatalog, Taxonomy
 
-        catalog = AssetCatalog(Taxonomy(categories=("a",)), dimension=4)
+        catalog = AssetCatalog(Taxonomy(categories=("a",)), {"a": ([], np.empty((0, 4)))})
         assert brute_force_rank(catalog, "a", [1.0, 0, 0, 0], 5) == []
         with pytest.raises(ValueError):
             brute_force_rank(catalog, "a", [1.0, 0, 0, 0], 0)
@@ -204,10 +206,7 @@ class TestEstimateSubspaces:
         from lookforge.catalog import AssetCatalog, Taxonomy
 
         tax = Taxonomy(categories=("a", "b"))
-        catalog = AssetCatalog(tax, dimension=4)
-        from lookforge.catalog import Asset
-
-        catalog.add(Asset("a-0", "a", np.array([1.0, 0, 0, 0]), "t", "curated"))
+        catalog = AssetCatalog(tax, {"a": (["a-0"], np.array([[1.0, 0, 0, 0]]))})
         est = estimate_subspaces(catalog)
         assert set(est) == {"a"}
 
