@@ -18,6 +18,11 @@ Looks never leave this module in an inconsistent state: every placement
 and edit is checked against the pool, exclusion (``catalog.excluded_by``)
 and core-category invariants, and a look's ``body_bundle_id`` is read
 from its final selections (``_body_bundle``).
+
+Bundle ids come from the pools alone: retrieval tags each candidate with
+its asset's ``bundle_id``, and every lookup here is for a pooled asset (the
+body pool's ranking, its candidates' caps, and selections, which are pool
+members). Assembly never reads the catalog.
 """
 from __future__ import annotations
 
@@ -215,6 +220,16 @@ def filter_pools(
 # --- stage 2: initial assembly --------------------------------------------------
 
 
+def pool_bundles(pools: dict[str, list[Candidate]]) -> dict[str, str]:
+    """Bundle id of every pooled asset that has one."""
+    return {
+        c.asset_id: c.bundle_id
+        for pool in pools.values()
+        for c in pool
+        if c.bundle_id is not None
+    }
+
+
 def _body_bundle(
     look: AvatarLook, bundles: dict[str, str], body_category: str | None
 ) -> str | None:
@@ -228,7 +243,6 @@ def assemble_initial(
     *,
     required_core: tuple[str, ...],
     exclusion_groups: tuple[tuple[str, ...], ...] = (),
-    bundles: dict[str, str] | None = None,
     body_category: str | None = None,
 ) -> AvatarLook:
     """Draft look ``look-base`` from the judge's outfit selection.
@@ -276,7 +290,7 @@ def assemble_initial(
         if cat not in picks:
             look.history.append(f"filled core category {cat} with {aid}")
 
-    look.body_bundle_id = _body_bundle(look, bundles or {}, body_category)
+    look.body_bundle_id = _body_bundle(look, pool_bundles(pools), body_category)
     return look
 
 
@@ -372,14 +386,9 @@ def refine(
 # --- stage 4: candidate generation ----------------------------------------------
 
 
-def rank_bundles(body_pool: list[Candidate], bundles: dict[str, str]) -> list[str]:
+def rank_bundles(body_pool: list[Candidate]) -> list[str]:
     """Distinct bundle ids in order of first appearance in the body pool."""
-    seen: list[str] = []
-    for c in body_pool:
-        b = bundles.get(c.asset_id)
-        if b is not None and b not in seen:
-            seen.append(b)
-    return seen
+    return list(dict.fromkeys(c.bundle_id for c in body_pool if c.bundle_id is not None))
 
 
 def generate_candidates(
@@ -389,7 +398,6 @@ def generate_candidates(
     *,
     required_core: tuple[str, ...],
     exclusion_groups: tuple[tuple[str, ...], ...] = (),
-    bundles: dict[str, str] | None = None,
     body_category: str | None = None,
     base_look: AvatarLook | None = None,
 ) -> list[AvatarLook]:
@@ -403,19 +411,19 @@ def generate_candidates(
     :class:`BudgetInfeasibleError`; other categories are omitted. Usage
     counters reflect each look's final, post-refinement selections.
     """
-    bundles = bundles or {}
+    bundles = pool_bundles(pools)
     asset_use: dict[str, int] = {}
     bundle_use: dict[str, int] = {}
 
     rotation: list[str] = []
     if body_category and body_category in pools:
-        rotation = rank_bundles(pools[body_category], bundles)[: budget.bundle_rotation]
+        rotation = rank_bundles(pools[body_category])[: budget.bundle_rotation]
 
     def asset_blocked(aid: str) -> bool:
         return asset_use.get(aid, 0) >= budget.per_asset_cap
 
-    def bundle_blocked(aid: str) -> bool:
-        b = bundles.get(aid)
+    def bundle_blocked(c: Candidate) -> bool:
+        b = c.bundle_id
         return b is not None and bundle_use.get(b, 0) >= budget.per_bundle_cap
 
     def pick(cat: str, look: AvatarLook, target_bundle: str | None) -> str | None:
@@ -427,13 +435,13 @@ def generate_candidates(
             return None
         pool = pools[cat]
         if cat == body_category:
-            preferred = (c for c in pool if bundles.get(c.asset_id) == target_bundle)
+            preferred = (c for c in pool if c.bundle_id == target_bundle)
         else:
             base_pick = base_look.selections.get(cat) if base_look else None
             preferred = (c for c in pool if c.asset_id == base_pick)
         for c in chain(preferred, pool):
             if not asset_blocked(c.asset_id) and not (
-                cat == body_category and bundle_blocked(c.asset_id)
+                cat == body_category and bundle_blocked(c)
             ):
                 return c.asset_id
         return None

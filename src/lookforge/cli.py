@@ -237,7 +237,6 @@ def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
 
 @stage_command
 def cmd_assemble(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
-    catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
     out_dir = _out_dir(args, cfg)
     retrievals = pools_from_dict(read_doc(out_dir / "pools.json"))
     judge = build_judge(
@@ -250,7 +249,6 @@ def cmd_assemble(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
         judge,
         cfg.budget,
         taxonomy=taxonomy,
-        bundles=catalog.bundles,
         body_category=cfg.body_category,
         gate_k=cfg.retrieval.gate_k,
     )

@@ -63,7 +63,6 @@ class CategoryIndex:
         asset_ids: list[str],
         embeddings: np.ndarray | None = None,
         *,
-        dimension: int | None = None,
         _canonical: np.ndarray | None = None,
     ) -> None:
         self.category_id = category_id
@@ -72,12 +71,8 @@ class CategoryIndex:
         self.asset_ids = list(asset_ids)
         if _canonical is not None:
             matrix = np.asarray(_canonical, dtype=np.float32)
-        elif embeddings is not None:
-            matrix = canonical_rows(embeddings)
         else:
-            if dimension is None:
-                raise ValueError("an empty index needs an explicit dimension")
-            matrix = np.empty((0, dimension), dtype=np.float32)
+            matrix = canonical_rows(embeddings)
         if matrix.shape[0] != len(self.asset_ids):
             raise DimensionMismatchError(
                 f"{matrix.shape[0]} rows for {len(self.asset_ids)} asset ids"
@@ -173,7 +168,7 @@ class CategoryIndex:
             )
         except (struct.error, UnicodeDecodeError) as exc:
             raise SnapshotIoError(f"{path} has a malformed body: {exc}") from exc
-        return cls(category_id, asset_ids, dimension=d, _canonical=matrix)
+        return cls(category_id, asset_ids, _canonical=matrix)
 
 
 def build_indices(catalog, categories: list[str] | None = None) -> dict[str, CategoryIndex]:

@@ -2,14 +2,16 @@
 
 Order of operations: route the prompt, index the routed categories,
 estimate suppression subspaces from the whole catalog, retrieve pooled
-candidates per category, gate them through the judge, assemble and refine
-a slate, and crown a tournament winner. Each stage is importable on its
-own; this module only wires them together. :class:`AssemblyResult` owns
-the look.json format.
+candidates per category (each tagged with its asset's bundle id), gate
+them through the judge, assemble and refine a slate, and crown a
+tournament winner. Retrieval is the last stage that reads the catalog:
+assembly reads only the pools. Each stage is importable on its own; this
+module only wires them together. :class:`AssemblyResult` owns the
+look.json format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .assembly import (
     AvatarLook,
@@ -74,16 +76,21 @@ def run_retrieval(
     the routed categories; interference comes from whatever else is in the
     embedding, routed or not. Pass ``indices`` (for example, loaded from
     snapshots) to skip the in-memory index build; it must cover every
-    routed category.
+    routed category. Each pooled candidate carries its asset's bundle id
+    from ``catalog.bundles``.
     """
     if indices is None:
         indices = build_indices(catalog, list(plan.target_categories))
     subspaces = estimate_subspaces(catalog, subspace_params)
+    bundles = catalog.bundles
     out: dict[str, CategoryRetrieval] = {}
     for cat in plan.target_categories:
-        out[cat] = retrieve_category(
-            cat, indices[cat], store, taxonomy, subspaces, cfg
-        )
+        retrieval = retrieve_category(cat, indices[cat], store, taxonomy, subspaces, cfg)
+        retrieval.pool = [
+            replace(c, bundle_id=bundles[c.asset_id]) if c.asset_id in bundles else c
+            for c in retrieval.pool
+        ]
+        out[cat] = retrieval
     return out
 
 
@@ -93,7 +100,6 @@ def run_assembly(
     budget: GenerationBudget,
     *,
     taxonomy: Taxonomy,
-    bundles: dict[str, str],
     body_category: str | None,
     gate_k: int,
 ) -> AssemblyResult:
@@ -104,7 +110,6 @@ def run_assembly(
         judge,
         required_core=taxonomy.required_core,
         exclusion_groups=taxonomy.exclusion_groups,
-        bundles=bundles,
         body_category=body_category,
     )
     candidates = generate_candidates(
@@ -113,7 +118,6 @@ def run_assembly(
         budget,
         required_core=taxonomy.required_core,
         exclusion_groups=taxonomy.exclusion_groups,
-        bundles=bundles,
         body_category=body_category,
         base_look=base,
     )
@@ -143,7 +147,6 @@ def run_pipeline(
         judge,
         budget,
         taxonomy=taxonomy,
-        bundles=catalog.bundles,
         body_category=body_category,
         gate_k=retrieval_cfg.gate_k,
     )

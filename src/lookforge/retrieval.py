@@ -60,14 +60,24 @@ class Candidate:
     asset_id: str
     score: float
     source: str  # "part", "concept_residual", or "both"
+    bundle_id: str | None = None  # the asset's bundle, if it has one
 
     def to_dict(self) -> dict:
         """One ranked entry, as pools.json and judge grid payloads carry it."""
-        return {"asset_id": self.asset_id, "score": float(self.score), "source": self.source}
+        return {
+            "asset_id": self.asset_id,
+            "score": float(self.score),
+            "source": self.source,
+            "bundle_id": self.bundle_id,
+        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> Candidate:
-        return cls(str(doc["asset_id"]), float(doc["score"]), str(doc["source"]))
+        """Parse one pools.json entry; ``bundle_id`` is required, string or null."""
+        bundle_id = doc["bundle_id"]
+        if bundle_id is not None and not isinstance(bundle_id, str):
+            raise ValueError(f"bundle_id must be a string or null, got {bundle_id!r}")
+        return cls(str(doc["asset_id"]), float(doc["score"]), str(doc["source"]), bundle_id)
 
 
 @dataclass

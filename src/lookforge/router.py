@@ -8,7 +8,7 @@ instead of being guessed into sweaters up front.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .catalog import Taxonomy, excluded_by, read_doc, write_doc
@@ -373,29 +373,14 @@ def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advi
 def route_naive(spec: PromptSpec, taxonomy: Taxonomy) -> RoutingPlan:
     """Ablation baseline: one category per concept, no expansion.
 
-    Each concept routes only to the lowest category id it maps to, so
-    ambiguous concepts cover roughly half their true categories. Required
-    core categories still enter; exclusions are not resolved.
+    :func:`route` over a narrowed taxonomy: each concept maps only to the
+    lowest category id it denotes, so ambiguous concepts cover roughly half
+    their true categories, and there are no exclusion groups to resolve.
+    Required core categories still enter.
     """
-    provenance: dict[str, str] = {}
-    sources: dict[str, list[Concept]] = {}
-    for concept in spec.concepts:
-        key = match_concept_key(concept.noun, taxonomy.concept_map)
-        if key is None:
-            continue
-        cid = min(taxonomy.concept_map[key])
-        provenance.setdefault(cid, "concept-expanded")
-        sources.setdefault(cid, []).append(concept)
-    for cid in taxonomy.required_core:
-        provenance.setdefault(cid, "required-core")
-    queries = {}
-    for cid in sorted(provenance):
-        concepts = sources.get(cid, [])
-        queries[cid] = (
-            build_query(concepts[0], cid) if concepts else _fallback_query(spec.text, cid)
-        )
-    return RoutingPlan(
-        target_categories=tuple(sorted(provenance)),
-        queries=queries,
-        provenance=dict(sorted(provenance.items())),
+    narrowed = replace(
+        taxonomy,
+        concept_map={k: (min(v),) for k, v in taxonomy.concept_map.items()},
+        exclusion_groups=(),
     )
+    return route(spec, narrowed)

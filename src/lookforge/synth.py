@@ -13,9 +13,7 @@ embedding dimension.
 Interference scenarios additionally plant a contaminated global embedding
 ``g = normalize(target + lam * v)`` with ``v`` inside another category's
 subspace, and rejection-sample until the planted asset is provably
-recoverable by suppression but not without it. The brute-force functions
-here are the reference ranking oracle: same row canonicalization contract
-as the index, independent scoring loop and sort.
+recoverable by suppression but not without it.
 """
 from __future__ import annotations
 
@@ -37,8 +35,6 @@ from .router import Concept, PromptSpec, route, save_prompt
 from .vecmath import (
     CategorySubspace,
     SubspaceParams,
-    as_vector,
-    canonical_rows,
     estimate_subspaces,
     normalize,
 )
@@ -199,68 +195,6 @@ def _write_catalog(catalog: AssetCatalog, path: str | Path) -> None:
             lines[aid] = json.dumps(doc, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines[aid] for aid in sorted(lines))
-
-
-# --- reference ranking oracle ---------------------------------------------------
-
-
-def brute_force_ranking(
-    asset_ids: list[str],
-    embeddings,
-    query,
-) -> list[tuple[str, float]]:
-    """Full ranking by cosine, scored row by row and sorted in python.
-
-    Rows pass through the same float32 canonicalization the index applies
-    to stored rows (that is the storage contract, shared on purpose); the
-    scoring loop and the (-score, asset_id) sort are independent of the
-    index implementation. Ties resolve to the lower asset id.
-    """
-    rows = canonical_rows(np.asarray(embeddings, dtype=np.float64))
-    if rows.shape[0] != len(asset_ids):
-        raise ValueError(f"{rows.shape[0]} rows for {len(asset_ids)} ids")
-    q = normalize(as_vector(query, d=int(rows.shape[1])))
-    scored = [
-        (-float(np.dot(row.astype(np.float64), q)), aid)
-        for aid, row in zip(asset_ids, rows)
-    ]
-    scored.sort()
-    return [(aid, -neg) for neg, aid in scored]
-
-
-def brute_force_rank(
-    catalog: AssetCatalog,
-    category_id: str,
-    query,
-    k: int,
-) -> list[str]:
-    """Top-``k`` asset ids for a category by full scan.
-
-    Same ordering contract as the index search: cosine descending, ties
-    to the lower id, ``k`` past the category size returns everything,
-    an empty category returns no ids.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ids, rows = catalog.embedding_matrix(category_id)
-    if not ids:
-        return []
-    ranking = brute_force_ranking(ids, rows, query)
-    return [aid for aid, _ in ranking[: min(k, len(ids))]]
-
-
-def planted_rank(
-    asset_ids: list[str],
-    embeddings,
-    query,
-    target_id: str,
-) -> int:
-    """0-based rank of ``target_id`` in the full reference ranking."""
-    ranking = brute_force_ranking(asset_ids, embeddings, query)
-    for rank, (aid, _) in enumerate(ranking):
-        if aid == target_id:
-            return rank
-    raise KeyError(f"{target_id!r} not among the ranked assets")
 
 
 # --- interference scenarios -------------------------------------------------------

@@ -58,8 +58,9 @@ def canonical_rows(embeddings: np.ndarray) -> np.ndarray:
     """Normalize rows in float64 and cast to float32.
 
     This is the single canonical representation for stored index rows.
-    Search and the brute-force oracle must both score against rows produced
-    here, otherwise float32 rounding flips near-tied ranks between them.
+    Search and the test suite's brute-force oracle (``tests/oracle.py``)
+    must both score against rows produced here, otherwise float32 rounding
+    flips near-tied ranks between them.
     """
     m = np.asarray(embeddings, dtype=np.float64)
     if m.ndim != 2:

@@ -40,7 +40,6 @@ from lookforge.router import Concept, PromptSpec, route
 from lookforge.synth import (
     CategorySpec,
     SynthSpec,
-    brute_force_rank,
     generate_catalog,
     generate_pipeline_scenario,
 )
@@ -51,6 +50,7 @@ from lookforge.vecmath import (
     normalize,
     suppress,
 )
+from oracle import brute_force_rank
 
 _LINES: list[str] = []
 
@@ -313,8 +313,9 @@ def test_criterion_07_router_coherence():
 
 
 def test_criterion_08_assembly_state_machine():
+    bundles = {f"b{i}": f"bnd-{i // 2}" for i in range(6)}
     pools = {
-        "body": [Candidate(f"b{i}", 0.9 - i * 0.1, "both") for i in range(6)],
+        "body": [Candidate(f"b{i}", 0.9 - i * 0.1, "both", bundles[f"b{i}"]) for i in range(6)],
         "hat": [Candidate(f"h{i}", 0.8 - i * 0.1, "part") for i in range(6)],
         "jacket": [Candidate(f"j{i}", 0.7 - i * 0.1, "concept_residual") for i in range(6)],
         "sweater": [Candidate(f"s{i}", 0.6 - i * 0.1, "concept_residual") for i in range(6)],
@@ -396,7 +397,6 @@ def test_criterion_08_assembly_state_machine():
         failures.append(f"(c) winner {winner.look_id}, scripted argmax is look-007")
 
     # (d) usage caps across a full slate
-    bundles = {f"b{i}": f"bnd-{i // 2}" for i in range(6)}
     src_d = ScriptedSource({"verify": [{"verdict": "pass"}], "cycle": True})
     slate = generate_candidates(
         pools,
@@ -404,7 +404,6 @@ def test_criterion_08_assembly_state_machine():
         budget,
         required_core=core,
         exclusion_groups=exclusions,
-        bundles=bundles,
         body_category="body",
     )
     asset_use: dict[str, int] = {}

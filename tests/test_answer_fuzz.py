@@ -29,14 +29,14 @@ TAXONOMY = Taxonomy(
 CATEGORIES = list(TAXONOMY.categories)
 IDS = {cat: [f"{cat[0]}{i}" for i in range(4)] for cat in CATEGORIES}
 ALL_IDS = [aid for ids in IDS.values() for aid in ids]
+BUNDLES = {aid: f"bundle-{aid}" for aid in IDS["body"]}
 POOLS = {
-    cat: [Candidate(aid, 1.0 - 0.1 * i, "part") for i, aid in enumerate(ids)]
+    cat: [Candidate(aid, 1.0 - 0.1 * i, "part", BUNDLES.get(aid)) for i, aid in enumerate(ids)]
     for cat, ids in IDS.items()
 }
 RETRIEVALS = {
     cat: CategoryRetrieval(cat, pool, True, False, "front") for cat, pool in POOLS.items()
 }
-BUNDLES = {aid: f"bundle-{aid}" for aid in IDS["body"]}
 GATE_K = 3
 # Caps as large as the slate: no judge answer can make the slate
 # infeasible, so a budget error here would be a fault, not an outcome.
@@ -129,7 +129,7 @@ def test_run_assembly_degrades_or_raises_unavailable(script):
     try:
         result = run_assembly(
             RETRIEVALS, JudgeClient(ScriptedSource(script)), BUDGET,
-            taxonomy=TAXONOMY, bundles=BUNDLES, body_category="body", gate_k=GATE_K,
+            taxonomy=TAXONOMY, body_category="body", gate_k=GATE_K,
         )
     except JudgeUnavailableError:
         return

@@ -24,8 +24,10 @@ from lookforge.judge import JudgeClient, ScriptedSource
 from lookforge.retrieval import Candidate
 
 
-def pool(*ids, start=1.0):
-    return [Candidate(a, start - i * 0.01, "part") for i, a in enumerate(ids)]
+def pool(*ids, start=1.0, bundles={}):
+    return [
+        Candidate(a, start - i * 0.01, "part", bundles.get(a)) for i, a in enumerate(ids)
+    ]
 
 
 def scripted(responses) -> tuple[JudgeClient, ScriptedSource]:
@@ -147,11 +149,10 @@ BASE_POOLS = {
 def test_assemble_top_selection_with_bundle():
     judge, _ = scripted({"select_outfit": [{"select": "top"}]})
     look = assemble_initial(
-        BASE_POOLS,
+        {**BASE_POOLS, "body": pool("b1", "b2", bundles={"b1": "bundleA"})},
         judge,
         required_core=("body",),
         exclusion_groups=(("jacket", "sweater"),),
-        bundles={"b1": "bundleA"},
         body_category="body",
     )
     assert look.selections["body"] == "b1"
@@ -399,7 +400,7 @@ def test_refine_exhausts_budget_and_stays_draft():
 
 def big_pools():
     return {
-        "body": pool("b1", "b2", "b3", "b4", "b5", "b6"),
+        "body": pool("b1", "b2", "b3", "b4", "b5", "b6", bundles=BUNDLES),
         "hat": pool("h1", "h2", "h3"),
         "pants": pool("p1", "p2", "p3"),
     }
@@ -413,9 +414,9 @@ def passing_judge():
 
 
 def test_rank_bundles_order_of_first_appearance():
-    body = pool("b2", "b1", "b9", "b3")
-    assert rank_bundles(body, BUNDLES) == ["B2", "B1", "B3"]
-    assert rank_bundles(body, {}) == []
+    body = pool("b2", "b1", "b9", "b3", bundles=BUNDLES)
+    assert rank_bundles(body) == ["B2", "B1", "B3"]
+    assert rank_bundles(pool("b2", "b1", "b9", "b3")) == []
 
 
 def test_generate_candidates_caps_and_rotation():
@@ -425,7 +426,6 @@ def test_generate_candidates_caps_and_rotation():
         passing_judge(),
         budget,
         required_core=("body",),
-        bundles=BUNDLES,
         body_category="body",
     )
     assert len(looks) == 6
@@ -451,11 +451,10 @@ def test_generate_candidates_bundle_cap_binds_body_picks_only():
     # so the base look's hat repeats until its asset cap binds
     bundles = {"b1": "B1", "b2": "B2", "h1": "H", "h2": "H"}
     looks = generate_candidates(
-        {"body": pool("b1", "b2"), "hat": pool("h1", "h2")},
+        {"body": pool("b1", "b2", bundles=bundles), "hat": pool("h1", "h2", bundles=bundles)},
         passing_judge(),
         GenerationBudget(n_candidates=2, per_asset_cap=2, per_bundle_cap=1),
         required_core=("body",),
-        bundles=bundles,
         body_category="body",
     )
     assert [lk.selections for lk in looks] == [
@@ -559,11 +558,10 @@ def test_generate_candidates_body_bundle_follows_refined_body():
         {"verdict": "pass"},
     ]}))
     (look,) = generate_candidates(
-        {"body": pool("b1", "b2")},
+        {"body": pool("b1", "b2", bundles={"b1": "bundle-1", "b2": "bundle-2"})},
         judge,
         GenerationBudget(n_candidates=1),
         required_core=(),
-        bundles={"b1": "bundle-1", "b2": "bundle-2"},
         body_category="body",
     )
     assert look.selections == {"body": "b2"}
@@ -571,7 +569,10 @@ def test_generate_candidates_body_bundle_follows_refined_body():
 
 
 def test_generate_candidates_body_pick_checks_exclusions():
-    pools = {"armor": pool("a1", "a2"), "body": pool("b1", "b2")}
+    pools = {
+        "armor": pool("a1", "a2"),
+        "body": pool("b1", "b2", bundles={"b1": "B1", "b2": "B2"}),
+    }
     groups = (("armor", "body"),)
     looks = generate_candidates(
         pools,
@@ -579,7 +580,6 @@ def test_generate_candidates_body_pick_checks_exclusions():
         GenerationBudget(n_candidates=2),
         required_core=(),
         exclusion_groups=groups,
-        bundles={"b1": "B1", "b2": "B2"},
         body_category="body",
     )
     for lk in looks:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import shutil
 
 import numpy as np
 import pytest
@@ -42,6 +43,22 @@ def demo(tmp_path_factory):
     for command in ("ingest", "build-index", "route", "retrieve", "assemble"):
         assert main([command, *cfg_arg]) == 0, command
     return root
+
+
+@pytest.fixture(scope="module")
+def demo_pipeline(demo):
+    """The demo bundle's run config and catalog, and run_pipeline's result."""
+    cfg = load_run_config(demo / "config.json")
+    taxonomy = load_taxonomy(cfg.paths["taxonomy"])
+    catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
+    result = run_pipeline(
+        catalog, taxonomy, load_evidence(cfg.paths["evidence"]),
+        load_prompt(cfg.paths["prompt"]),
+        build_judge(cfg.judge_spec, cfg.root, DEFAULT_HTTP_TIMEOUT),
+        retrieval_cfg=cfg.retrieval, budget=cfg.budget,
+        subspace_params=cfg.subspace, body_category=cfg.body_category,
+    )
+    return cfg, catalog, result
 
 
 class TestJudgeSpec:
@@ -226,6 +243,34 @@ class TestStageCommands:
                     demo / "output" / name
                 ).read_bytes(), (seed, name)
 
+    def test_assemble_reads_no_catalog(self, demo, tmp_path):
+        # bundle ids reach assembly on the pooled candidates, so assemble
+        # needs only what the earlier stages wrote
+        root = tmp_path / "no-catalog"
+        shutil.copytree(demo, root)
+        (root / "catalog.jsonl").unlink()
+        (root / "output" / "look.json").unlink()
+        assert main(["assemble", "--config", str(root / "config.json")]) == 0
+        assert (root / "output" / "look.json").read_bytes() == (
+            demo / "output" / "look.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("bad", [None, 5], ids=["missing", "number"])
+    def test_assemble_rejects_bad_pool_bundle_id(self, demo, tmp_path, capsys, bad):
+        root = tmp_path / "bad-bundle"
+        shutil.copytree(demo, root)
+        pools_path = root / "output" / "pools.json"
+        doc = json.loads(pools_path.read_text())
+        entry = doc["pools"]["body"]["pool"][0]
+        if bad is None:
+            del entry["bundle_id"]
+        else:
+            entry["bundle_id"] = bad
+        pools_path.write_text(json.dumps(doc))
+        assert main(["assemble", "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "assemble.InvalidValue"
+
     def test_retrieve_before_route_fails_cleanly(self, tmp_path, capsys):
         root = tmp_path / "fresh"
         generate_pipeline_scenario(root, seed=5)
@@ -258,19 +303,10 @@ class TestStageCommands:
         digest = hashlib.sha256((demo / "output" / "look.json").read_bytes()).hexdigest()
         assert digest == DEMO_LOOK_SHA256
 
-    def test_stage_documents_match_run_pipeline(self, demo):
+    def test_stage_documents_match_run_pipeline(self, demo, demo_pipeline):
         # the stage commands and the in-process pipeline are one path: each
         # stage document body is the library's to_dict of the same result
-        cfg = load_run_config(demo / "config.json")
-        taxonomy = load_taxonomy(cfg.paths["taxonomy"])
-        catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
-        result = run_pipeline(
-            catalog, taxonomy, load_evidence(cfg.paths["evidence"]),
-            load_prompt(cfg.paths["prompt"]),
-            build_judge(cfg.judge_spec, cfg.root, DEFAULT_HTTP_TIMEOUT),
-            retrieval_cfg=cfg.retrieval, budget=cfg.budget,
-            subspace_params=cfg.subspace, body_category=cfg.body_category,
-        )
+        cfg, _, result = demo_pipeline
 
         def body(name):
             doc = read_doc(demo / "output" / name)
@@ -281,6 +317,15 @@ class TestStageCommands:
         assert body("plan.json") == plan_to_dict(result.plan)
         assert body("pools.json") == pools_to_dict(result.retrievals)
         assert body("look.json") == result.to_dict()
+
+    def test_pooled_candidates_carry_catalog_bundle_ids(self, demo_pipeline):
+        _, catalog, result = demo_pipeline
+        pooled = [c for r in result.retrievals.values() for c in r.pool]
+        assert [c.bundle_id for c in pooled] == [
+            catalog.bundles.get(c.asset_id) for c in pooled
+        ]
+        assert any(c.bundle_id is not None for c in pooled)
+        assert any(c.bundle_id is None for c in pooled)
 
 
 class TestSynthAndEval:

@@ -67,7 +67,7 @@ def test_search_zero_query_raises():
 
 
 def test_empty_index():
-    idx = CategoryIndex("hat", [], dimension=3)
+    idx = CategoryIndex("hat", [], np.empty((0, 3)))
     assert idx.search([1.0, 0.0, 0.0], k=5) == []
     assert idx.dim == 3 and idx.size == 0
     assert idx.rows.shape == (0, 3)
@@ -162,7 +162,7 @@ def test_snapshot_round_trip_bit_identical(tmp_path, rng):
 
 
 def test_snapshot_empty_index_round_trip(tmp_path):
-    idx = CategoryIndex("hat", [], dimension=7)
+    idx = CategoryIndex("hat", [], np.empty((0, 7)))
     path = tmp_path / "empty.idx"
     idx.save(path)
     loaded = CategoryIndex.load(path)

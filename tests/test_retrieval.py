@@ -243,7 +243,7 @@ def test_pools_document_round_trip():
 def test_retrieve_category_missing_text_prior():
     idx, store, tax, subs = category_fixture(with_part=False)
     with pytest.raises(MissingTextPriorError):
-        retrieve_category("legs", CategoryIndex("legs", [], dimension=4), store, tax,
+        retrieve_category("legs", CategoryIndex("legs", [], np.empty((0, 4))), store, tax,
                           subs, RetrievalConfig())
 
 

@@ -13,16 +13,14 @@ from lookforge.synth import (
     CategorySpec,
     SynthSpec,
     asset_id_for,
-    brute_force_rank,
-    brute_force_ranking,
     build_assets,
     build_bases,
     generate_catalog,
     generate_interference_scenario,
     generate_pipeline_scenario,
-    planted_rank,
 )
 from lookforge.vecmath import estimate_subspaces
+from oracle import brute_force_rank, brute_force_ranking
 
 
 def small_spec(**kw):
@@ -157,16 +155,6 @@ class TestBruteForce:
         hits = index.search(q, k=30)
         ranking = brute_force_ranking(ids, rows, q)
         assert [h.asset_id for h in hits] == [aid for aid, _ in ranking]
-
-    def test_rank_of_target(self, rng):
-        rows = np.eye(4)
-        ids = ["a", "b", "c", "d"]
-        assert planted_rank(ids, rows, [0.0, 1.0, 0.0, 0.0], "b") == 0
-        assert planted_rank(ids, rows, [0.9, 1.0, 0.0, 0.0], "a") == 1
-
-    def test_missing_target_raises(self):
-        with pytest.raises(KeyError):
-            planted_rank(["a"], np.eye(1, 3), [1.0, 0, 0], "zzz")
 
     def test_catalog_rank_matches_index(self, rng):
         catalog, _ = generate_catalog(small_spec(seed=13))
