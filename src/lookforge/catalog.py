@@ -156,7 +156,7 @@ def write_doc(path: str | Path, doc: dict) -> None:
     replace_file(path, text.encode("utf-8"))
 
 
-def replace_file(path: Path, data: bytes) -> None:
+def replace_file(path: Path, data: bytes | memoryview) -> None:
     """Write ``data`` to a temp file beside ``path``, then ``os.replace`` it,
     so a reader finds the old file or the new one, never a partial write."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

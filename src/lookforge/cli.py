@@ -29,7 +29,7 @@ from .catalog import Taxonomy, ingest_catalog, load_taxonomy, read_doc, write_do
 from .errors import PipelineError
 from .evalsuite import ABLATIONS, markdown_table, run_interference_suite
 from .evidence import load_evidence
-from .index import MANIFEST_FILE, build_indices, load_snapshots, save_snapshots
+from .index import MANIFEST_FILE, load_index_dir, save_index_dir
 from .judge import DEFAULT_HTTP_TIMEOUT, PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
 from .pipeline import run_assembly, run_retrieval
 from .retrieval import RetrievalConfig, pools_from_dict, pools_to_dict
@@ -193,14 +193,18 @@ def cmd_ingest(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     return 0
 
 
+def _index_sources(cfg: RunConfig) -> dict[str, Path]:
+    """The files an index directory is built from, by manifest name."""
+    return {"catalog": cfg.paths["catalog"], "taxonomy": cfg.paths["taxonomy"]}
+
+
 @stage_command
 def cmd_build_index(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
-    catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
+    catalog, report = ingest_catalog(cfg.paths["catalog"], taxonomy)
     index_dir = Path(args.out) if args.out else cfg.paths["index_dir"]
-    indices = build_indices(catalog)
-    manifest = save_snapshots(indices, index_dir, catalog.dimension)
+    manifest = save_index_dir(catalog, index_dir, _index_sources(cfg))
     write_output(index_dir / MANIFEST_FILE, cfg, manifest)
-    print(f"built {len(indices)} indices -> {index_dir}")
+    print(f"indexed {report.n_loaded} assets -> {index_dir}")
     return 0
 
 
@@ -219,14 +223,12 @@ def cmd_route(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
 
 @stage_command
 def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
-    catalog, _ = ingest_catalog(cfg.paths["catalog"], taxonomy)
-    store = load_evidence(_require_path(cfg, "evidence"))
     out_dir = _out_dir(args, cfg)
     plan = plan_from_dict(read_doc(out_dir / "plan.json"))
-    indices = load_snapshots(cfg.paths["index_dir"], plan.target_categories)
+    store = load_evidence(_require_path(cfg, "evidence"))
+    catalog = load_index_dir(cfg.paths["index_dir"], taxonomy, _index_sources(cfg))
     retrievals = run_retrieval(
-        plan, catalog, store, taxonomy, cfg.retrieval,
-        subspace_params=cfg.subspace, indices=indices,
+        plan, catalog, store, taxonomy, cfg.retrieval, subspace_params=cfg.subspace
     )
     out = out_dir / "pools.json"
     write_output(out, cfg, pools_to_dict(retrievals))
@@ -311,7 +313,7 @@ def make_parser() -> argparse.ArgumentParser:
         return p
 
     stage("ingest", cmd_ingest, "validate a catalog file and report rejections")
-    stage("build-index", cmd_build_index, "persist per-category index snapshots")
+    stage("build-index", cmd_build_index, "save the ingested catalog for retrieve")
     stage("route", cmd_route, "turn the prompt into a category routing plan")
     stage("retrieve", cmd_retrieve, "pool ranked candidates per routed category")
     stage("assemble", cmd_assemble, "assemble, refine, and pick the winning look",

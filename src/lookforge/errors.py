@@ -48,18 +48,18 @@ class InvalidTaxonomyError(PipelineError):
     """The taxonomy file violates its own structural rules."""
 
 
-# --- index snapshots -------------------------------------------------------
+# --- index directory -------------------------------------------------------
 
 class SnapshotIoError(PipelineError):
-    """A snapshot file is unreadable or structurally broken."""
+    """An index file is missing, unreadable or structurally broken."""
 
 
 class ChecksumMismatchError(PipelineError):
-    """Snapshot payload does not match its recorded checksum."""
+    """An index file, or a file it was built from, differs from its recorded digest."""
 
 
 class VersionMismatchError(PipelineError):
-    """Snapshot was written by an incompatible format version."""
+    """An index was written by an incompatible format version."""
 
 
 # --- routing / evidence ----------------------------------------------------

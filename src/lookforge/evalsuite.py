@@ -9,19 +9,21 @@ what each retrieval stage contributes by switching it off:
     router       naive single-category routing instead of recall-first
                  expansion; scenarios routed to the wrong category count
                  as outright misses
-    scaffold     no global embedding at all, text prior only
+    scaffold     no global embedding at all, text prior only (beta = 0)
 
-Part evidence is withheld in every arm on purpose: the residual branch
-is the thing under measurement, and a clean part crop would paper over
-its failures.
+Every arm pools through the pipeline's ``retrieve_category`` over one
+front view and the target's text prior. Part evidence is withheld on
+purpose: the residual branch is the thing under measurement, and a clean
+part crop would paper over its failures.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .catalog import Taxonomy
-from .index import CategoryIndex
-from .retrieval import Candidate, RetrievalConfig, build_pool, retrieve_concept_residual
+from .evidence import EvidenceStore
+from .index import build_indices
+from .retrieval import RetrievalConfig, retrieve_category
 from .router import Concept, PromptSpec, route, route_naive
 from .synth import CategorySpec, SynthSpec, generate_interference_scenario
 
@@ -108,19 +110,15 @@ def run_interference_suite(
             continue
         routed += 1
 
-        ids, rows = scn.catalog.embedding_matrix(truth.target_category)
-        index = CategoryIndex(truth.target_category, ids, rows)
-        if ablate == "scaffold":
-            hits = index.search(truth.t_c, k=cfg.branch_k)
-            residual = [
-                Candidate(h.asset_id, h.score, "concept_residual") for h in hits
-            ]
-        else:
-            subspaces = {} if ablate == "suppression" else scn.subspaces
-            residual, _ = retrieve_concept_residual(
-                index, truth.g, truth.t_c, subspaces, cfg
-            )
-        pool = build_pool([], residual, cfg.pool_k)
+        store = EvidenceStore()
+        store.add_view("front", truth.g)
+        store.add_text_prior(truth.target_category, truth.t_c)
+        index = build_indices(scn.catalog, [truth.target_category])[truth.target_category]
+        subspaces = {} if ablate == "suppression" else scn.subspaces
+        arm_cfg = replace(cfg, beta=0.0) if ablate == "scaffold" else cfg
+        pool = retrieve_category(
+            truth.target_category, index, store, taxonomy, subspaces, arm_cfg
+        ).pool
         if not pool:
             continue
         if pool[0].asset_id == truth.target_asset_id:

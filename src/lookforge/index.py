@@ -1,4 +1,5 @@
-"""Exact per-category cosine search with binary snapshots.
+"""Exact per-category cosine search, and the index directory that
+``build-index`` writes and ``retrieve`` reads.
 
 Search is a flat scan: rows are float32 unit vectors stored in ascending
 asset-id order, queries are normalized in float64, and scores come from a
@@ -7,33 +8,28 @@ scores, so exact ties resolve to the lower asset id. No approximate
 structure is involved; determinism and auditability beat speed at catalog
 sizes this system targets.
 
-Snapshot layout (little-endian), version 1:
-
-    magic  b"LFIX"
-    u32    version
-    u32    dimension d
-    u32    row count n
-    u16    category id byte length, then that many UTF-8 bytes
-    n *    (u16 asset id byte length, then bytes)
-    n*d    float32 row data
-    32     sha256 over everything after the magic and before the digest
-
-Loading verifies magic, version, and checksum before parsing the body, so
-a corrupted file never yields a silently wrong index.
-
-A snapshot directory holds one ``<category>.idx`` per category and a
-``manifest.json`` listing each snapshot's file, asset count and sha256.
+An index directory, format version 2, holds the ingested catalog in
+``catalog.npz``: ``meta``, UTF-8 JSON of each non-empty category's asset
+ids (JSON round-trips any id exactly; numpy strings drop a trailing NUL)
+and the bundle map, and ``rows_<i>``, the float64 matrix of the i-th of
+those categories. ``manifest.json`` records the format version and the
+sha256 of the npz and of the catalog and taxonomy files it came from.
+Loading checks all of them before parsing, so a stale or corrupted index
+is never searched.
 """
 from __future__ import annotations
 
 import hashlib
-import struct
+import io
+import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
-from .catalog import replace_file
+from .catalog import AssetCatalog, Taxonomy, read_doc, replace_file
 from .errors import (
     ChecksumMismatchError,
     DimensionMismatchError,
@@ -42,8 +38,8 @@ from .errors import (
 )
 from .vecmath import as_vector, canonical_rows, normalize
 
-SNAPSHOT_MAGIC = b"LFIX"
-SNAPSHOT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+INDEX_FILE = "catalog.npz"
 MANIFEST_FILE = "manifest.json"
 
 
@@ -57,22 +53,12 @@ class SearchHit:
 class CategoryIndex:
     """Flat cosine index over one category's assets."""
 
-    def __init__(
-        self,
-        category_id: str,
-        asset_ids: list[str],
-        embeddings: np.ndarray | None = None,
-        *,
-        _canonical: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, category_id: str, asset_ids: list[str], embeddings: np.ndarray) -> None:
         self.category_id = category_id
         if sorted(asset_ids) != list(asset_ids) or len(set(asset_ids)) != len(asset_ids):
             raise ValueError("asset ids must be strictly ascending")
         self.asset_ids = list(asset_ids)
-        if _canonical is not None:
-            matrix = np.asarray(_canonical, dtype=np.float32)
-        else:
-            matrix = canonical_rows(embeddings)
+        matrix = canonical_rows(embeddings)
         if matrix.shape[0] != len(self.asset_ids):
             raise DimensionMismatchError(
                 f"{matrix.shape[0]} rows for {len(self.asset_ids)} asset ids"
@@ -114,86 +100,87 @@ class CategoryIndex:
             for rank, i in enumerate(order)
         ]
 
-    # --- snapshots -----------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        body = bytearray()
-        body += struct.pack("<III", SNAPSHOT_VERSION, self.dim, self.size)
-        cid = self.category_id.encode("utf-8")
-        body += struct.pack("<H", len(cid)) + cid
-        for aid in self.asset_ids:
-            raw = aid.encode("utf-8")
-            body += struct.pack("<H", len(raw)) + raw
-        body += np.ascontiguousarray(self._matrix, dtype="<f4").tobytes()
-        digest = hashlib.sha256(bytes(body)).digest()
-        replace_file(Path(path), SNAPSHOT_MAGIC + bytes(body) + digest)
-
-    @classmethod
-    def load(cls, path: str | Path) -> CategoryIndex:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise SnapshotIoError(f"cannot read snapshot {path}: {exc}") from exc
-        if len(data) < 8 or data[:4] != SNAPSHOT_MAGIC:
-            raise SnapshotIoError(f"{path} is not an index snapshot")
-        (version,) = struct.unpack_from("<I", data, 4)
-        if version != SNAPSHOT_VERSION:
-            raise VersionMismatchError(
-                f"snapshot version {version}, supported version {SNAPSHOT_VERSION}"
-            )
-        if len(data) < 4 + 12 + 32:
-            raise ChecksumMismatchError(f"{path} is truncated")
-        body, digest = data[4:-32], data[-32:]
-        if hashlib.sha256(body).digest() != digest:
-            raise ChecksumMismatchError(f"{path} failed checksum verification")
-
-        try:
-            _, d, n = struct.unpack_from("<III", body, 0)
-            off = 12
-            (cid_len,) = struct.unpack_from("<H", body, off)
-            off += 2
-            category_id = body[off : off + cid_len].decode("utf-8")
-            off += cid_len
-            asset_ids: list[str] = []
-            for _ in range(n):
-                (id_len,) = struct.unpack_from("<H", body, off)
-                off += 2
-                asset_ids.append(body[off : off + id_len].decode("utf-8"))
-                off += id_len
-            row_bytes = body[off : off + 4 * n * d]
-            if len(row_bytes) != 4 * n * d or off + 4 * n * d != len(body):
-                raise SnapshotIoError(f"{path} has a malformed body")
-            matrix = np.frombuffer(row_bytes, dtype="<f4").reshape(n, d).astype(
-                np.float32, copy=True
-            )
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise SnapshotIoError(f"{path} has a malformed body: {exc}") from exc
-        return cls(category_id, asset_ids, _canonical=matrix)
+def build_indices(catalog: AssetCatalog, categories: list[str]) -> dict[str, CategoryIndex]:
+    """Build one index per requested category from an ingested catalog."""
+    return {cid: CategoryIndex(cid, *catalog.embedding_matrix(cid)) for cid in categories}
 
 
-def build_indices(catalog, categories: list[str] | None = None) -> dict[str, CategoryIndex]:
-    """Build one index per (requested) category from an ingested catalog."""
-    cats = list(categories) if categories is not None else list(catalog.taxonomy.categories)
-    return {cid: CategoryIndex(cid, *catalog.embedding_matrix(cid)) for cid in cats}
+def _sha256(fh) -> str:
+    """Hex sha256 of an open binary file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
-def save_snapshots(
-    indices: dict[str, CategoryIndex], index_dir: str | Path, dimension: int | None
+def _source_sha256(sources: Mapping[str, str | Path]) -> dict[str, str]:
+    digests = {}
+    for name, path in sorted(sources.items()):
+        with open(path, "rb") as fh:
+            digests[name] = _sha256(fh)
+    return digests
+
+
+def save_index_dir(
+    catalog: AssetCatalog, index_dir: str | Path, sources: Mapping[str, str | Path]
 ) -> dict:
-    """Write one snapshot per index into ``index_dir``; returns the manifest body."""
+    """Write ``catalog`` to ``index_dir/catalog.npz``; returns the manifest
+    body, which records the npz's digest and that of each named source file."""
+    categories = [c for c in catalog.taxonomy.categories if catalog.embedding_matrix(c)[0]]
+    meta = {
+        "categories": [[c, list(catalog.embedding_matrix(c)[0])] for c in categories],
+        "bundles": dict(sorted(catalog.bundles.items())),
+    }
+    arrays = {f"rows_{i}": catalog.embedding_matrix(c)[1] for i, c in enumerate(categories)}
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.frombuffer(json.dumps(meta).encode("ascii"), np.uint8), **arrays)
     index_dir = Path(index_dir)
     index_dir.mkdir(parents=True, exist_ok=True)
-    entries: dict[str, dict] = {}
-    for cat in sorted(indices):
-        target = index_dir / f"{cat}.idx"
-        indices[cat].save(target)
-        entries[cat] = {
-            "file": target.name,
-            "n_assets": indices[cat].size,
-            "sha256": hashlib.sha256(target.read_bytes()).hexdigest(),
-        }
-    return {"dimension": dimension, "indices": entries}
+    replace_file(index_dir / INDEX_FILE, buf.getbuffer())
+    return {
+        "format_version": INDEX_FORMAT_VERSION,
+        "index_sha256": hashlib.sha256(buf.getbuffer()).hexdigest(),
+        "source_sha256": _source_sha256(sources),
+    }
 
 
-def load_snapshots(index_dir: str | Path, categories) -> dict[str, CategoryIndex]:
-    return {cat: CategoryIndex.load(Path(index_dir) / f"{cat}.idx") for cat in categories}
+def load_index_dir(
+    index_dir: str | Path, taxonomy: Taxonomy, sources: Mapping[str, str | Path]
+) -> AssetCatalog:
+    """The catalog ``save_index_dir`` wrote. A missing or malformed manifest
+    or npz raises :class:`SnapshotIoError`, another format version
+    :class:`VersionMismatchError`, and a source file or npz whose digest
+    differs from the manifest's :class:`ChecksumMismatchError`."""
+    index_dir = Path(index_dir)
+    manifest_path = index_dir / MANIFEST_FILE
+    try:
+        manifest = read_doc(manifest_path)
+        version = manifest.get("format_version")
+    except (OSError, ValueError, AttributeError) as exc:
+        raise SnapshotIoError(f"cannot read {manifest_path}: {exc}; run build-index") from exc
+    if version != INDEX_FORMAT_VERSION:
+        raise VersionMismatchError(
+            f"{manifest_path} has index format version {version}, supported version "
+            f"{INDEX_FORMAT_VERSION}; run build-index"
+        )
+    recorded = manifest.get("source_sha256")
+    for name, digest in _source_sha256(sources).items():
+        if not isinstance(recorded, dict) or recorded.get(name) != digest:
+            raise ChecksumMismatchError(
+                f"{name} file {sources[name]} changed since the index was built; run build-index"
+            )
+    path = index_dir / INDEX_FILE
+    try:
+        with open(path, "rb") as fh:
+            if _sha256(fh) != manifest.get("index_sha256"):
+                raise ChecksumMismatchError(f"{path} failed checksum verification")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                meta = json.loads(npz["meta"].tobytes())
+                cats = meta["categories"]
+                rows = {cid: (ids, npz[f"rows_{i}"]) for i, (cid, ids) in enumerate(cats)}
+                bundles = dict(meta["bundles"])
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise SnapshotIoError(f"cannot read {path}: {exc}; run build-index") from exc
+    return AssetCatalog(taxonomy, rows, bundles)

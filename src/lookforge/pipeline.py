@@ -68,19 +68,16 @@ def run_retrieval(
     taxonomy: Taxonomy,
     cfg: RetrievalConfig,
     subspace_params: SubspaceParams = SubspaceParams(),
-    indices: dict | None = None,
 ) -> dict[str, CategoryRetrieval]:
     """Pooled retrieval for every routed category.
 
     Suppression subspaces are estimated over the whole catalog, not just
     the routed categories; interference comes from whatever else is in the
-    embedding, routed or not. Pass ``indices`` (for example, loaded from
-    snapshots) to skip the in-memory index build; it must cover every
-    routed category. Each pooled candidate carries its asset's bundle id
-    from ``catalog.bundles``.
+    embedding, routed or not. Each pooled candidate carries its asset's
+    bundle id from ``catalog.bundles``. The ``retrieve`` command passes
+    the catalog ``build-index`` saved.
     """
-    if indices is None:
-        indices = build_indices(catalog, list(plan.target_categories))
+    indices = build_indices(catalog, list(plan.target_categories))
     subspaces = estimate_subspaces(catalog, subspace_params)
     bundles = catalog.bundles
     out: dict[str, CategoryRetrieval] = {}

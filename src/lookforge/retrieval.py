@@ -100,7 +100,14 @@ class CategoryRetrieval:
 
     @classmethod
     def from_dict(cls, category_id: str, doc: dict) -> CategoryRetrieval:
-        pool = [Candidate.from_dict(c) for c in doc["pool"]]
+        pool = []
+        for i, entry in enumerate(doc["pool"]):
+            try:
+                pool.append(Candidate.from_dict(entry))
+            except KeyError as exc:
+                raise ValueError(f"pool entry {i} has no key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"pool entry {i}: {exc}") from exc
         return cls(category_id, **{**doc, "pool": pool})
 
 
@@ -110,9 +117,14 @@ def pools_to_dict(retrievals: dict[str, CategoryRetrieval]) -> dict:
 
 
 def pools_from_dict(doc: dict) -> dict[str, CategoryRetrieval]:
-    return {
-        cat: CategoryRetrieval.from_dict(cat, entry) for cat, entry in doc["pools"].items()
-    }
+    """Parse a pools.json body; a malformed entry raises ValueError naming it."""
+    out = {}
+    for cat, entry in doc["pools"].items():
+        try:
+            out[cat] = CategoryRetrieval.from_dict(cat, entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"pools.json category {cat!r}: {exc}; re-run retrieve") from exc
+    return out
 
 
 def _to_candidates(hits: list[SearchHit], source: str) -> list[Candidate]:

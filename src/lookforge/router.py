@@ -140,8 +140,10 @@ class RoutingPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> RoutingPlan:
+        if not isinstance(doc.get("target_categories"), list):
+            raise ValueError("routing plan needs a 'target_categories' list; re-run route")
         return cls(
-            target_categories=tuple(doc.get("target_categories", [])),
+            target_categories=tuple(doc["target_categories"]),
             queries={str(k): str(v) for k, v in doc.get("queries", {}).items()},
             provenance={str(k): str(v) for k, v in doc.get("provenance", {}).items()},
             resolved_exclusions=[

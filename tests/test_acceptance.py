@@ -23,11 +23,17 @@ from lookforge.assembly import (
     tournament,
     validate_look,
 )
-from lookforge.catalog import Taxonomy
+from lookforge.catalog import Taxonomy, save_taxonomy, write_doc
 from lookforge.cli import main as cli_main
 from lookforge.errors import ChecksumMismatchError
 from lookforge.evalsuite import markdown_table, run_interference_suite
-from lookforge.index import CategoryIndex, build_indices
+from lookforge.index import (
+    INDEX_FILE,
+    MANIFEST_FILE,
+    build_indices,
+    load_index_dir,
+    save_index_dir,
+)
 from lookforge.judge import JudgeClient, ScriptedSource
 from lookforge.retrieval import (
     Candidate,
@@ -73,7 +79,7 @@ def test_criterion_01_index_matches_reference_ranking():
             seed=seed,
         )
         catalog, _ = generate_catalog(spec)
-        index = build_indices(catalog)["stock"]
+        index = build_indices(catalog, ["stock"])["stock"]
         rng = np.random.default_rng(10_000 + seed)
         for _ in range(10):
             q = rng.standard_normal(64)
@@ -184,7 +190,7 @@ def test_criterion_05_fusion_endpoints():
         seed=77,
     )
     catalog, _ = generate_catalog(spec)
-    index = build_indices(catalog)["stock"]
+    index = build_indices(catalog, ["stock"])["stock"]
     rng = np.random.default_rng(5)
     p_c = normalize(rng.standard_normal(16))
     t_c = normalize(rng.standard_normal(16))
@@ -469,10 +475,13 @@ def test_criterion_10_snapshot_fidelity(tmp_path):
         seed=9,
     )
     catalog, _ = generate_catalog(spec)
-    index = build_indices(catalog)["stock"]
-    path = tmp_path / "stock.idx"
-    index.save(path)
-    loaded = CategoryIndex.load(path)
+    index = build_indices(catalog, ["stock"])["stock"]
+    sources = {"taxonomy": tmp_path / "taxonomy.json"}
+    save_taxonomy(catalog.taxonomy, sources["taxonomy"])
+    index_dir = tmp_path / "indices"
+    write_doc(index_dir / MANIFEST_FILE, save_index_dir(catalog, index_dir, sources))
+    reloaded = load_index_dir(index_dir, catalog.taxonomy, sources)
+    loaded = build_indices(reloaded, ["stock"])["stock"]
 
     rng = np.random.default_rng(17)
     mismatches = 0
@@ -483,12 +492,13 @@ def test_criterion_10_snapshot_fidelity(tmp_path):
         if before != after:
             mismatches += 1
 
+    path = index_dir / INDEX_FILE
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF  # lands in the row payload
     path.write_bytes(bytes(blob))
     rejected = False
     try:
-        CategoryIndex.load(path)
+        load_index_dir(index_dir, catalog.taxonomy, sources)
     except ChecksumMismatchError:
         rejected = True
     ok = mismatches == 0 and rejected

@@ -178,10 +178,75 @@ class TestStageCommands:
         assert main(["build-index", "--config", str(root / "config.json")]) == 0
         capsys.readouterr()
         manifest = json.loads((root / "indices" / "manifest.json").read_text())
-        assert set(manifest["indices"]) == {"body", "jacket", "pants", "sweater"}
-        for entry in manifest["indices"].values():
-            blob = (root / "indices" / entry["file"]).read_bytes()
-            assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+        assert manifest["format_version"] == 2
+        blob = (root / "indices" / "catalog.npz").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == manifest["index_sha256"]
+        assert manifest["source_sha256"] == {
+            name: hashlib.sha256((root / f).read_bytes()).hexdigest()
+            for name, f in (("catalog", "catalog.jsonl"), ("taxonomy", "taxonomy.json"))
+        }
+
+    def test_build_index_is_deterministic(self, demo, tmp_path, capsys):
+        cfg_arg = ["--config", str(demo / "config.json")]
+        for run in ("one", "two"):
+            assert main(["build-index", *cfg_arg, "--out", str(tmp_path / run)]) == 0
+        capsys.readouterr()
+        for name in ("catalog.npz", "manifest.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (
+                tmp_path / "two" / name
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize("changed", ["catalog", "taxonomy"])
+    def test_retrieve_rejects_stale_index(self, demo, tmp_path, capsys, changed):
+        # an index built before the catalog or taxonomy changed is never
+        # searched: the planted jacket stays out of every pool
+        root = tmp_path / "stale"
+        shutil.copytree(demo, root)
+        if changed == "catalog":
+            lines = (root / "catalog.jsonl").read_text().splitlines(keepends=True)
+            kept = [line for line in lines if '"jacket-008"' not in line]
+            assert len(kept) == len(lines) - 1
+            (root / "catalog.jsonl").write_text("".join(kept))
+        else:
+            tax = read_doc(root / "taxonomy.json")
+            (root / "taxonomy.json").write_text(json.dumps(tax))
+        (root / "output" / "pools.json").unlink()
+        assert main(["retrieve", "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "retrieve.ChecksumMismatch"
+        assert changed in err["error"]["message"]
+        assert "build-index" in err["error"]["message"]
+        assert not (root / "output" / "pools.json").exists()
+
+    def test_retrieve_rejects_snapshot_format_index(self, demo, tmp_path, capsys):
+        # an index dir of per-category .idx snapshots has no format version
+        root = tmp_path / "old-index"
+        shutil.copytree(demo, root)
+        (root / "indices" / "catalog.npz").unlink()
+        (root / "indices" / "manifest.json").write_text(json.dumps({
+            "config_sha256": "0" * 64, "dimension": 32, "schema_version": 1,
+            "indices": {"body": {"file": "body.idx", "n_assets": 12, "sha256": "0" * 64}},
+        }))
+        assert main(["retrieve", "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "retrieve.VersionMismatch"
+        assert "build-index" in err["error"]["message"]
+
+    def test_retrieve_reads_no_catalog_records(self, demo, tmp_path, monkeypatch, capsys):
+        # retrieve searches the catalog build-index saved; it never parses
+        # the JSONL, and its pools are the in-process pipeline's
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("retrieve must not ingest the catalog")
+
+        monkeypatch.setattr("lookforge.cli.ingest_catalog", no_ingest)
+        root = tmp_path / "no-ingest"
+        shutil.copytree(demo, root)
+        (root / "output" / "pools.json").unlink()
+        assert main(["retrieve", "--config", str(root / "config.json")]) == 0
+        capsys.readouterr()
+        assert (root / "output" / "pools.json").read_bytes() == (
+            demo / "output" / "pools.json"
+        ).read_bytes()
 
     def test_missing_taxonomy_is_stage_prefixed(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -270,6 +335,9 @@ class TestStageCommands:
         assert main(["assemble", "--config", str(root / "config.json")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "assemble.InvalidValue"
+        message = err["error"]["message"]
+        assert message.startswith("pools.json category 'body': pool entry 0")
+        assert "bundle_id" in message and message.endswith("re-run retrieve")
 
     def test_retrieve_before_route_fails_cleanly(self, tmp_path, capsys):
         root = tmp_path / "fresh"

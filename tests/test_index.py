@@ -1,17 +1,28 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lookforge.catalog import AssetCatalog, Taxonomy, read_doc, save_taxonomy, write_doc
 from lookforge.errors import (
     ChecksumMismatchError,
     SnapshotIoError,
     VersionMismatchError,
     ZeroVectorError,
 )
-from lookforge.index import SNAPSHOT_MAGIC, CategoryIndex, SearchHit
+from lookforge.index import (
+    INDEX_FILE,
+    MANIFEST_FILE,
+    CategoryIndex,
+    SearchHit,
+    build_indices,
+    load_index_dir,
+    save_index_dir,
+)
 
 
 def oracle_ids(asset_ids, rows_f32, query, k):
@@ -139,75 +150,149 @@ def test_search_matches_reference_ranking(seed, n, k):
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
-# --- snapshots ---------------------------------------------------------------
+# --- index directory ---------------------------------------------------------
+
+
+TAXONOMY = Taxonomy(categories=("hat", "shoe"))
+
+
+def saved_index(tmp_path, rows, bundles=None):
+    """Save a catalog of ``rows`` as ``build-index`` does; returns
+    (catalog, index dir, sources)."""
+    catalog = AssetCatalog(TAXONOMY, rows, bundles)
+    sources = {"catalog": tmp_path / "catalog.jsonl", "taxonomy": tmp_path / "taxonomy.json"}
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    sources["catalog"].write_text("catalog stand-in\n")
+    save_taxonomy(TAXONOMY, sources["taxonomy"])
+    index_dir = tmp_path / "indices"
+    write_doc(index_dir / MANIFEST_FILE, save_index_dir(catalog, index_dir, sources))
+    return catalog, index_dir, sources
+
+
+def assert_same_catalog(a: AssetCatalog, b: AssetCatalog) -> None:
+    assert a.dimension == b.dimension
+    assert a.bundles == b.bundles
+    for cid in TAXONOMY.categories:
+        ids, matrix = a.embedding_matrix(cid)
+        assert b.embedding_matrix(cid)[0] == ids
+        assert b.embedding_matrix(cid)[1].shape == matrix.shape
+        assert b.embedding_matrix(cid)[1].tobytes() == matrix.tobytes()
 
 
 def test_snapshot_round_trip_bit_identical(tmp_path, rng):
     n, d = 50, 16
     ids = [f"a{i:03d}" for i in range(n)]
-    idx = CategoryIndex("hat", ids, rng.standard_normal((n, d)))
-    path = tmp_path / "hat.idx"
-    idx.save(path)
-    loaded = CategoryIndex.load(path)
-    assert loaded.category_id == "hat"
-    assert loaded.asset_ids == ids
-    assert loaded.rows.tobytes() == idx.rows.tobytes()
+    rows = {"hat": (ids, rng.standard_normal((n, d))),
+            "shoe": (["s1", "s0"], rng.standard_normal((2, d)))}
+    catalog, index_dir, sources = saved_index(tmp_path, rows, {"a001": "b1", "s0": "b2"})
+    loaded = load_index_dir(index_dir, TAXONOMY, sources)
+    assert_same_catalog(catalog, loaded)
+    idx = build_indices(catalog, ["hat"])["hat"]
+    reloaded = build_indices(loaded, ["hat"])["hat"]
+    assert reloaded.rows.tobytes() == idx.rows.tobytes()
     for _ in range(20):
         q = rng.standard_normal(d)
         a = idx.search(q, k=10)
-        b = loaded.search(q, k=10)
+        b = reloaded.search(q, k=10)
         assert [(h.asset_id, h.score, h.rank) for h in a] == [
             (h.asset_id, h.score, h.rank) for h in b
         ]
 
 
-def test_snapshot_empty_index_round_trip(tmp_path):
-    idx = CategoryIndex("hat", [], np.empty((0, 7)))
-    path = tmp_path / "empty.idx"
-    idx.save(path)
-    loaded = CategoryIndex.load(path)
-    assert loaded.size == 0 and loaded.dim == 7
-    assert loaded.category_id == "hat"
+def test_snapshot_empty_index_round_trip(tmp_path, rng):
+    # an empty category keeps the catalog's dimension; an empty catalog has none
+    rows = {"hat": (["a"], rng.standard_normal((1, 7)))}
+    catalog, index_dir, sources = saved_index(tmp_path, rows)
+    loaded = load_index_dir(index_dir, TAXONOMY, sources)
+    assert_same_catalog(catalog, loaded)
+    shoe = build_indices(loaded, ["shoe"])["shoe"]
+    assert shoe.size == 0 and shoe.dim == 7
+    catalog, index_dir, sources = saved_index(tmp_path, {})
+    loaded = load_index_dir(index_dir, TAXONOMY, sources)
+    assert loaded.dimension is None
+    assert_same_catalog(catalog, loaded)
 
 
 def test_snapshot_corruption_detected(tmp_path, rng):
-    idx = CategoryIndex("hat", ["a", "b"], rng.standard_normal((2, 4)))
-    path = tmp_path / "hat.idx"
-    idx.save(path)
+    rows = {"hat": (["a", "b"], rng.standard_normal((2, 4)))}
+    _, index_dir, sources = saved_index(tmp_path, rows)
+    path = index_dir / INDEX_FILE
     blob = bytearray(path.read_bytes())
-    # Flip one byte inside the float32 row region (near the end of the body).
-    blob[-40] ^= 0xFF
+    blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(ChecksumMismatchError):
-        CategoryIndex.load(path)
+        load_index_dir(index_dir, TAXONOMY, sources)
 
 
 def test_snapshot_truncation_detected(tmp_path, rng):
-    idx = CategoryIndex("hat", ["a", "b"], rng.standard_normal((2, 4)))
-    path = tmp_path / "hat.idx"
-    idx.save(path)
+    rows = {"hat": (["a", "b"], rng.standard_normal((2, 4)))}
+    _, index_dir, sources = saved_index(tmp_path, rows)
+    path = index_dir / INDEX_FILE
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ChecksumMismatchError):
-        CategoryIndex.load(path)
+        load_index_dir(index_dir, TAXONOMY, sources)
 
 
-def test_snapshot_bad_magic(tmp_path):
-    path = tmp_path / "bogus.idx"
-    path.write_bytes(b"JUNKxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx")
+def test_snapshot_bad_magic(tmp_path, rng):
+    # a missing or malformed manifest or npz is an I/O error, even when
+    # the manifest's digest matches the junk
+    _, index_dir, sources = saved_index(tmp_path, {"hat": (["a"], rng.standard_normal((1, 4)))})
+    manifest_path, npz_path = index_dir / MANIFEST_FILE, index_dir / INDEX_FILE
+    manifest = read_doc(manifest_path)
+    junk = b"JUNKxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
+    npz_path.write_bytes(junk)
+    write_doc(manifest_path, {**manifest, "index_sha256": hashlib.sha256(junk).hexdigest()})
     with pytest.raises(SnapshotIoError):
-        CategoryIndex.load(path)
+        load_index_dir(index_dir, TAXONOMY, sources)
+    npz_path.unlink()
     with pytest.raises(SnapshotIoError):
-        CategoryIndex.load(tmp_path / "missing.idx")
+        load_index_dir(index_dir, TAXONOMY, sources)
+    manifest_path.write_text("{not json")
+    with pytest.raises(SnapshotIoError):
+        load_index_dir(index_dir, TAXONOMY, sources)
+    manifest_path.unlink()
+    with pytest.raises(SnapshotIoError):
+        load_index_dir(index_dir, TAXONOMY, sources)
 
 
 def test_snapshot_version_mismatch(tmp_path, rng):
-    idx = CategoryIndex("hat", ["a"], rng.standard_normal((1, 4)))
-    path = tmp_path / "hat.idx"
-    idx.save(path)
-    blob = bytearray(path.read_bytes())
-    assert blob[:4] == SNAPSHOT_MAGIC
-    blob[4] = 99  # bump the little-endian version field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatchError):
-        CategoryIndex.load(path)
+    _, index_dir, sources = saved_index(tmp_path, {"hat": (["a"], rng.standard_normal((1, 4)))})
+    manifest_path = index_dir / MANIFEST_FILE
+    manifest = read_doc(manifest_path)
+    write_doc(manifest_path, {**manifest, "format_version": 99})
+    with pytest.raises(VersionMismatchError, match="build-index"):
+        load_index_dir(index_dir, TAXONOMY, sources)
+    # the per-category snapshot manifest carries no format version at all
+    write_doc(manifest_path, {"dimension": 4, "indices": {}, "schema_version": 1})
+    with pytest.raises(VersionMismatchError, match="build-index"):
+        load_index_dir(index_dir, TAXONOMY, sources)
+
+
+@pytest.mark.parametrize("source", ["catalog", "taxonomy"])
+def test_changed_source_file_detected(tmp_path, rng, source):
+    _, index_dir, sources = saved_index(tmp_path, {"hat": (["a"], rng.standard_normal((1, 4)))})
+    with open(sources[source], "a") as fh:
+        fh.write("\n")
+    with pytest.raises(ChecksumMismatchError, match=f"{source} file .* run build-index"):
+        load_index_dir(index_dir, TAXONOMY, sources)
+
+
+def test_index_dir_bytes_are_deterministic(tmp_path, rng):
+    rows = {"hat": (["b", "a"], rng.standard_normal((2, 4)))}
+    _, first, _ = saved_index(tmp_path / "one", rows, {"b": "x", "a": "y"})
+    _, second, _ = saved_index(tmp_path / "two", rows, {"a": "y", "b": "x"})
+    for name in (INDEX_FILE, MANIFEST_FILE):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_unusual_asset_ids_round_trip_exactly(tmp_path, rng):
+    # numpy string arrays would drop the trailing NUL and merge "hat\x00"
+    # into "hat"; ids must come back exactly as ingested
+    ids = ["hat", "hat\x00", "caf\u00e9-\u5e3d\u5b50", "\ud800-lone-surrogate", "a b\n"]
+    catalog, index_dir, sources = saved_index(
+        tmp_path, {"hat": (ids, rng.standard_normal((len(ids), 4)))}, {"hat\x00": "b\x00"}
+    )
+    loaded = load_index_dir(index_dir, TAXONOMY, sources)
+    assert_same_catalog(catalog, loaded)
+    assert set(loaded.embedding_matrix("hat")[0]) == set(ids)

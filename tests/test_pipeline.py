@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lookforge.catalog import Taxonomy
+from lookforge.catalog import Taxonomy, save_taxonomy, write_doc
 from lookforge.evidence import EvidenceStore, PartEvidence
-from lookforge.index import CategoryIndex, build_indices
+from lookforge.index import MANIFEST_FILE, load_index_dir, save_index_dir
 from lookforge.judge import PASS_SCRIPT, JudgeClient, ScriptedSource
 from lookforge.pipeline import run_pipeline, run_retrieval
 from lookforge.retrieval import RetrievalConfig
@@ -49,28 +49,21 @@ def scenario():
 
 
 def test_preloaded_indices_match_built_ones(tmp_path, scenario):
+    # the catalog build-index saves gives the pools of the one it saved
     catalog, taxonomy, store, prompt, _ = scenario
     plan = route(prompt, taxonomy)
     cfg = RetrievalConfig()
 
     built = run_retrieval(plan, catalog, store, taxonomy, cfg)
 
-    loaded = {}
-    for cat, index in build_indices(catalog, list(plan.target_categories)).items():
-        path = tmp_path / f"{cat}.idx"
-        index.save(path)
-        loaded[cat] = CategoryIndex.load(path)
-    via_snapshots = run_retrieval(
-        plan, catalog, store, taxonomy, cfg, indices=loaded
-    )
+    sources = {"taxonomy": tmp_path / "taxonomy.json"}
+    save_taxonomy(taxonomy, sources["taxonomy"])
+    write_doc(tmp_path / MANIFEST_FILE, save_index_dir(catalog, tmp_path, sources))
+    reloaded = load_index_dir(tmp_path, taxonomy, sources)
+    via_index_dir = run_retrieval(plan, reloaded, store, taxonomy, cfg)
 
     for cat in plan.target_categories:
-        assert [c.asset_id for c in built[cat].pool] == [
-            c.asset_id for c in via_snapshots[cat].pool
-        ]
-        assert [c.score for c in built[cat].pool] == [
-            c.score for c in via_snapshots[cat].pool
-        ]
+        assert built[cat].pool == via_index_dir[cat].pool
 
 
 def test_suppression_uses_unrouted_categories(scenario):

@@ -240,6 +240,23 @@ def test_pools_document_round_trip():
     assert pools_from_dict(doc) == retrievals
 
 
+@pytest.mark.parametrize(
+    "entry, detail",
+    [({"asset_id": "l1", "score": 0.5, "source": "part"}, " has no key 'bundle_id'"),
+     ({"asset_id": "l1", "score": 0.5, "source": "part", "bundle_id": 5},
+      ": bundle_id must be a string or null")],
+    ids=["missing", "number"],
+)
+def test_pools_document_names_bad_entry(entry, detail):
+    legs = CategoryRetrieval("legs", [cand("l0", 0.75, "part")], False, False, "front")
+    doc = json.loads(json.dumps(pools_to_dict({"legs": legs})))
+    doc["pools"]["legs"]["pool"].append(entry)
+    with pytest.raises(ValueError) as info:
+        pools_from_dict(doc)
+    assert str(info.value).startswith(f"pools.json category 'legs': pool entry 1{detail}")
+    assert str(info.value).endswith("; re-run retrieve")
+
+
 def test_retrieve_category_missing_text_prior():
     idx, store, tax, subs = category_fixture(with_part=False)
     with pytest.raises(MissingTextPriorError):

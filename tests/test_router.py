@@ -7,6 +7,7 @@ from lookforge.errors import JudgeUnavailableError
 from lookforge.router import (
     Concept,
     PromptSpec,
+    RoutingPlan,
     build_query,
     load_prompt,
     match_concept_key,
@@ -217,6 +218,17 @@ def test_plan_to_dict_is_sorted():
     doc = plan.to_dict()
     assert list(doc["queries"]) == sorted(doc["queries"])
     assert doc["target_categories"] == ["body", "hat", "pants"]
+
+
+def test_plan_without_target_categories_names_the_key():
+    # a plan with no target list would route nothing and pool nothing
+    spec = PromptSpec(text="x", concepts=(Concept("cap"),))
+    doc = route(spec, make_taxonomy()).to_dict()
+    assert RoutingPlan.from_dict(doc).target_categories == ("body", "hat")
+    for bad in ({k: v for k, v in doc.items() if k != "target_categories"},
+                {**doc, "target_categories": "hat"}):
+        with pytest.raises(ValueError, match="'target_categories'.*re-run route"):
+            RoutingPlan.from_dict(bad)
 
 
 def test_prompt_file_round_trip(tmp_path):
