@@ -19,7 +19,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence
+from typing import BinaryIO, Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -153,16 +153,16 @@ def write_doc(path: str | Path, doc: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    replace_file(path, text.encode("utf-8"))
+    replace_file(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
-def replace_file(path: Path, data: bytes | memoryview) -> None:
-    """Write ``data`` to a temp file beside ``path``, then ``os.replace`` it,
+def replace_file(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Call ``write`` on a temp file beside ``path``, then ``os.replace`` it,
     so a reader finds the old file or the new one, never a partial write."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

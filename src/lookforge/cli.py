@@ -112,15 +112,18 @@ def parse_judge_spec(spec: str) -> tuple[str, str | None]:
     """Split a judge spec into (kind, target).
 
     Accepted forms: ``passthrough``, ``scripted:<path>``, ``http:<url>``.
-    A bare ``http://host`` or ``https://host`` also works.
+    A bare ``http://host`` or ``https://host`` also works. A target without
+    a scheme takes the spec's own: ``http:host:9/j`` targets ``http://host:9/j``.
     """
     if spec == "passthrough":
         return "passthrough", None
     if spec.startswith("scripted:"):
         return "scripted", spec[len("scripted:"):]
     if spec.startswith(("http:", "https:")):
-        rest = spec.split(":", 1)[1]
-        return "http", spec if rest.startswith("//") else rest
+        scheme, rest = spec.split(":", 1)
+        if rest.startswith(("http:", "https:")):  # http:<url with scheme>
+            scheme, rest = rest.split(":", 1)
+        return "http", f"{scheme}://{rest.removeprefix('//')}"
     raise ValueError(
         f"unrecognized judge spec {spec!r}; "
         "use passthrough, scripted:<path>, or http:<url>"

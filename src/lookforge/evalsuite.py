@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, replace
 
 from .catalog import Taxonomy
 from .evidence import EvidenceStore
-from .index import build_indices
 from .retrieval import RetrievalConfig, retrieve_category
 from .router import Concept, PromptSpec, route, route_naive
 from .synth import CategorySpec, SynthSpec, generate_interference_scenario
@@ -113,11 +112,10 @@ def run_interference_suite(
         store = EvidenceStore()
         store.add_view("front", truth.g)
         store.add_text_prior(truth.target_category, truth.t_c)
-        index = build_indices(scn.catalog, [truth.target_category])[truth.target_category]
         subspaces = {} if ablate == "suppression" else scn.subspaces
         arm_cfg = replace(cfg, beta=0.0) if ablate == "scaffold" else cfg
         pool = retrieve_category(
-            truth.target_category, index, store, taxonomy, subspaces, arm_cfg
+            truth.target_category, scn.catalog, store, taxonomy, subspaces, arm_cfg
         ).pool
         if not pool:
             continue

@@ -6,7 +6,8 @@ asset-id order, queries are normalized in float64, and scores come from a
 float64 matrix-vector product. Ranking uses a stable sort on negated
 scores, so exact ties resolve to the lower asset id. No approximate
 structure is involved; determinism and auditability beat speed at catalog
-sizes this system targets.
+sizes this system targets. Retrieval builds one :class:`CategoryIndex`
+per routed category from the catalog's id-ordered rows.
 
 An index directory, format version 2, holds the ingested catalog in
 ``catalog.npz``: ``meta``, UTF-8 JSON of each non-empty category's asset
@@ -20,7 +21,6 @@ is never searched.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import zipfile
 from dataclasses import dataclass
@@ -101,11 +101,6 @@ class CategoryIndex:
         ]
 
 
-def build_indices(catalog: AssetCatalog, categories: list[str]) -> dict[str, CategoryIndex]:
-    """Build one index per requested category from an ingested catalog."""
-    return {cid: CategoryIndex(cid, *catalog.embedding_matrix(cid)) for cid in categories}
-
-
 def _sha256(fh) -> str:
     """Hex sha256 of an open binary file, read in 1 MiB chunks."""
     digest = hashlib.sha256()
@@ -133,14 +128,16 @@ def save_index_dir(
         "bundles": dict(sorted(catalog.bundles.items())),
     }
     arrays = {f"rows_{i}": catalog.embedding_matrix(c)[1] for i, c in enumerate(categories)}
-    buf = io.BytesIO()
-    np.savez(buf, meta=np.frombuffer(json.dumps(meta).encode("ascii"), np.uint8), **arrays)
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("ascii"), np.uint8)
     index_dir = Path(index_dir)
     index_dir.mkdir(parents=True, exist_ok=True)
-    replace_file(index_dir / INDEX_FILE, buf.getbuffer())
+    path = index_dir / INDEX_FILE
+    replace_file(path, lambda fh: np.savez(fh, meta=meta_bytes, **arrays))
+    with open(path, "rb") as fh:
+        index_sha256 = _sha256(fh)
     return {
         "format_version": INDEX_FORMAT_VERSION,
-        "index_sha256": hashlib.sha256(buf.getbuffer()).hexdigest(),
+        "index_sha256": index_sha256,
         "source_sha256": _source_sha256(sources),
     }
 

@@ -1,17 +1,17 @@
 """End-to-end orchestration: prompt to verified winning look.
 
-Order of operations: route the prompt, index the routed categories,
-estimate suppression subspaces from the whole catalog, retrieve pooled
-candidates per category (each tagged with its asset's bundle id), gate
-them through the judge, assemble and refine a slate, and crown a
-tournament winner. Retrieval is the last stage that reads the catalog:
-assembly reads only the pools. Each stage is importable on its own; this
-module only wires them together. :class:`AssemblyResult` owns the
-look.json format.
+Order of operations: route the prompt, estimate suppression subspaces
+from the whole catalog, retrieve pooled candidates per routed category
+(each search runs over that category's catalog rows, and each candidate
+carries its asset's bundle id), gate them through the judge, assemble and
+refine a slate, and crown a tournament winner. Retrieval is the last
+stage that reads the catalog: assembly reads only the pools. Each stage
+is importable on its own; this module only wires them together.
+:class:`AssemblyResult` owns the look.json format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .assembly import (
     AvatarLook,
@@ -22,8 +22,8 @@ from .assembly import (
     tournament,
 )
 from .catalog import AssetCatalog, Taxonomy
+from .errors import UnknownCategoryError
 from .evidence import EvidenceStore
-from .index import build_indices
 from .retrieval import Candidate, CategoryRetrieval, RetrievalConfig, retrieve_category
 from .router import PromptSpec, RoutingPlan, route
 from .vecmath import SubspaceParams, estimate_subspaces
@@ -73,22 +73,14 @@ def run_retrieval(
 
     Suppression subspaces are estimated over the whole catalog, not just
     the routed categories; interference comes from whatever else is in the
-    embedding, routed or not. Each pooled candidate carries its asset's
-    bundle id from ``catalog.bundles``. The ``retrieve`` command passes
-    the catalog ``build-index`` saved.
+    embedding, routed or not. The ``retrieve`` command passes the catalog
+    ``build-index`` saved.
     """
-    indices = build_indices(catalog, list(plan.target_categories))
     subspaces = estimate_subspaces(catalog, subspace_params)
-    bundles = catalog.bundles
-    out: dict[str, CategoryRetrieval] = {}
-    for cat in plan.target_categories:
-        retrieval = retrieve_category(cat, indices[cat], store, taxonomy, subspaces, cfg)
-        retrieval.pool = [
-            replace(c, bundle_id=bundles[c.asset_id]) if c.asset_id in bundles else c
-            for c in retrieval.pool
-        ]
-        out[cat] = retrieval
-    return out
+    return {
+        cat: retrieve_category(cat, catalog, store, taxonomy, subspaces, cfg)
+        for cat in plan.target_categories
+    }
 
 
 def run_assembly(
@@ -100,6 +92,11 @@ def run_assembly(
     body_category: str | None,
     gate_k: int,
 ) -> AssemblyResult:
+    """Gate, assemble, refine and judge the pooled candidates. A
+    ``body_category`` the taxonomy does not declare raises
+    :class:`UnknownCategoryError`."""
+    if body_category is not None and body_category not in taxonomy.categories:
+        raise UnknownCategoryError(f"body_category {body_category!r} is not a taxonomy category")
     pools = {cat: r.pool for cat, r in retrievals.items()}
     filtered, warnings = filter_pools(pools, judge, gate_k)
     base = assemble_initial(

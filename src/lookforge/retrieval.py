@@ -13,18 +13,23 @@ both branches tagged as such. Suppression can collapse the residual to
 numerical zero when the global embedding lies entirely in other
 categories' subspaces; the branch then degrades to the text prior alone
 rather than searching with noise.
+
+:func:`retrieve_category` is the one per-category call: it builds the
+category's index from the catalog and tags each pooled candidate with its
+asset's bundle id. :func:`retrieve_part` and
+:func:`retrieve_concept_residual` run single branches over a given index.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .catalog import Taxonomy
+from .catalog import AssetCatalog, Taxonomy
 from .evidence import EvidenceStore, resolve_part_or_global, select_views
 from .index import CategoryIndex, SearchHit
-from .vecmath import CategorySubspace, fuse, normalize, suppress
+from .vecmath import fuse, normalize, suppress
 
 logger = logging.getLogger(__name__)
 
@@ -146,12 +151,12 @@ def retrieve_concept_residual(
     index: CategoryIndex,
     global_embedding,
     text_prior,
-    subspaces: dict[str, CategorySubspace],
+    subspaces: dict[str, np.ndarray],
     cfg: RetrievalConfig,
 ) -> tuple[list[Candidate], bool]:
     """Concept-residual branch for ``index.category_id``.
 
-    Suppresses every *other* category's subspace out of the global
+    Suppresses every *other* category's subspace basis out of the global
     embedding. Passing an empty ``subspaces`` mapping disables suppression
     (the ablation path) without changing anything else. Returns the
     candidates and whether the residual collapsed to the text prior.
@@ -200,17 +205,15 @@ def build_pool(
 
 def retrieve_category(
     category_id: str,
-    index: CategoryIndex,
+    catalog: AssetCatalog,
     store: EvidenceStore,
     taxonomy: Taxonomy,
-    subspaces: dict[str, CategorySubspace],
+    subspaces: dict[str, np.ndarray],
     cfg: RetrievalConfig,
 ) -> CategoryRetrieval:
-    """Run both branches for one routed category and pool the results."""
-    if index.category_id != category_id:
-        raise ValueError(
-            f"index is for {index.category_id!r}, not {category_id!r}"
-        )
+    """Run both branches over the catalog's rows of one routed category
+    and pool the results, each tagged with its asset's bundle id."""
+    index = CategoryIndex(category_id, *catalog.embedding_matrix(category_id))
     warnings: list[str] = []
     t_c = store.text_prior(category_id)
 
@@ -228,7 +231,10 @@ def retrieve_category(
         index, g, t_c, subspaces, cfg
     )
 
-    pool = build_pool(part_candidates, residual_candidates, cfg.pool_k)
+    pool = [
+        replace(c, bundle_id=catalog.bundles.get(c.asset_id))
+        for c in build_pool(part_candidates, residual_candidates, cfg.pool_k)
+    ]
     return CategoryRetrieval(
         category_id=category_id,
         pool=pool,

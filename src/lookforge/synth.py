@@ -32,12 +32,7 @@ from .judge import PASS_SCRIPT
 from .pipeline import run_retrieval
 from .retrieval import RetrievalConfig, retrieve_concept_residual, retrieve_part
 from .router import Concept, PromptSpec, route, save_prompt
-from .vecmath import (
-    CategorySubspace,
-    SubspaceParams,
-    estimate_subspaces,
-    normalize,
-)
+from .vecmath import SubspaceParams, estimate_subspaces, normalize
 
 DEFAULT_NOISE_SIGMA = 0.3
 DEFAULT_LAMBDA = 1.5
@@ -213,7 +208,7 @@ class PlantedTruth:
 @dataclass
 class InterferenceScenario:
     catalog: AssetCatalog
-    subspaces: dict[str, CategorySubspace]
+    subspaces: dict[str, np.ndarray]
     truth: PlantedTruth
     attempts: int
 

@@ -2,12 +2,13 @@
 
 All public functions operate on 1-D float64 numpy arrays of a shared
 dimension ``d``. Vectors are validated for finiteness; zero-norm inputs
-raise instead of silently producing NaN.
+raise instead of silently producing NaN. A category subspace is its
+orthonormal (d, r) basis matrix.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,35 +75,6 @@ def canonical_rows(embeddings: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CategorySubspace:
-    """Low-rank subspace capturing the embedding variation of one category.
-
-    ``basis`` has shape (d, rank) with orthonormal columns: the top right
-    singular vectors of the stacked (uncentered by default) embeddings.
-    """
-
-    category_id: str
-    basis: np.ndarray
-    rank: int
-    singular_values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.basis.ndim != 2 or self.basis.shape[1] != self.rank:
-            raise DimensionMismatchError(
-                f"basis shape {self.basis.shape} inconsistent with rank {self.rank}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return int(self.basis.shape[0])
-
-    def project(self, v) -> np.ndarray:
-        """Orthogonal projection of ``v`` onto the subspace."""
-        v = as_vector(v, d=self.dim)
-        return self.basis @ (self.basis.T @ v)
-
-
-@dataclass(frozen=True)
 class SubspaceParams:
     """How a category subspace's rank is chosen (see
     :func:`compute_category_subspace`)."""
@@ -117,8 +89,9 @@ def compute_category_subspace(
     category_id: str,
     embeddings,
     params: SubspaceParams = SubspaceParams(),
-) -> CategorySubspace:
-    """SVD-derived subspace for one category's embeddings.
+) -> np.ndarray:
+    """SVD-derived subspace for one category's embeddings: its orthonormal
+    (d, r) basis, the top right singular vectors as columns.
 
     ``embeddings`` stacks one row per asset. By default rows enter the SVD
     uncentered, so the leading direction tracks the category mean; set
@@ -155,24 +128,19 @@ def compute_category_subspace(
             r = int(np.searchsorted(covered, params.variance_threshold) + 1)
         r = min(r, params.max_rank, n, d)
 
-    return CategorySubspace(
-        category_id=category_id,
-        basis=np.ascontiguousarray(vt[:r].T),
-        rank=r,
-        singular_values=s[:r].copy(),
-    )
+    return np.ascontiguousarray(vt[:r].T)
 
 
 def estimate_subspaces(
     catalog: AssetCatalog,
     params: SubspaceParams = SubspaceParams(),
-) -> dict[str, CategorySubspace]:
-    """Per-category subspaces estimated from catalog embeddings.
+) -> dict[str, np.ndarray]:
+    """Per-category subspace bases estimated from catalog embeddings.
 
     Categories without assets are skipped (logged), matching what the
     pipeline can actually suppress.
     """
-    out: dict[str, CategorySubspace] = {}
+    out: dict[str, np.ndarray] = {}
     for cid in catalog.taxonomy.categories:
         ids, rows = catalog.embedding_matrix(cid)
         if not ids:
@@ -182,22 +150,23 @@ def estimate_subspaces(
     return out
 
 
-def suppress(g, others: dict[str, CategorySubspace]) -> np.ndarray:
+def suppress(g, others: dict[str, np.ndarray]) -> np.ndarray:
     """Remove other categories' subspace components from a global embedding.
 
-    Applies one projection-subtraction per subspace in ascending
-    ``category_id`` order and returns the raw residual without
-    renormalizing. The caller decides whether the residual is still usable
-    (see the collapse threshold in :mod:`lookforge.retrieval`).
+    ``others`` maps category id to an orthonormal (d, r) basis. Subtracts
+    the projection onto each basis in ascending category id order and
+    returns the raw residual without renormalizing. The caller decides
+    whether the residual is still usable (see the collapse threshold in
+    :mod:`lookforge.retrieval`).
     """
     r = as_vector(g).copy()
     for cid in sorted(others):
-        sub = others[cid]
-        if sub.dim != r.shape[0]:
+        basis = others[cid]
+        if basis.shape[0] != r.shape[0]:
             raise DimensionMismatchError(
-                f"subspace {cid!r} has dim {sub.dim}, residual has dim {r.shape[0]}"
+                f"subspace {cid!r} has dim {basis.shape[0]}, residual has dim {r.shape[0]}"
             )
-        r -= sub.project(r)
+        r -= basis @ (basis.T @ r)
     return r
 
 

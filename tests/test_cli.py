@@ -68,6 +68,9 @@ class TestJudgeSpec:
         assert parse_judge_spec("http:http://h:1/x") == ("http", "http://h:1/x")
         assert parse_judge_spec("http://h:1/x") == ("http", "http://h:1/x")
         assert parse_judge_spec("https://h/x") == ("http", "https://h/x")
+        # a url without a scheme takes the spec's
+        assert parse_judge_spec("http:h:1/x") == ("http", "http://h:1/x")
+        assert parse_judge_spec("https:h/x") == ("http", "https://h/x")
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -83,7 +86,7 @@ class TestJudgeSpec:
     def test_env_url_without_scheme_gains_prefix(self, monkeypatch):
         monkeypatch.setenv(ENV_JUDGE_URL, "host:9/judge")
         assert parse_judge_spec(effective_judge_spec(None, "passthrough")) == (
-            "http", "host:9/judge",
+            "http", "http://host:9/judge",
         )
 
     def test_timeout_env(self, monkeypatch):
@@ -272,6 +275,21 @@ class TestStageCommands:
         assert main(["route", "--config", str(root / "config.json")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "route.InvalidTaxonomy"
+
+    def test_unknown_body_category_is_stage_prefixed(self, demo, tmp_path, capsys):
+        # a typo in body_category would otherwise turn off body-bundle
+        # rotation silently
+        root = tmp_path / "bad-body"
+        shutil.copytree(demo, root)
+        config = read_doc(root / "config.json")
+        config["body_category"] = "bdy"
+        (root / "config.json").write_text(json.dumps(config))
+        (root / "output" / "look.json").unlink()
+        assert main(["assemble", "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "assemble.UnknownCategory"
+        assert "'bdy'" in err["error"]["message"]
+        assert not (root / "output" / "look.json").exists()
 
     def test_catalog_line_order_changes_nothing(self, demo, tmp_path, capsys):
         # ingest sorts each category by asset id, so a shuffled catalog

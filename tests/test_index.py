@@ -19,7 +19,6 @@ from lookforge.index import (
     MANIFEST_FILE,
     CategoryIndex,
     SearchHit,
-    build_indices,
     load_index_dir,
     save_index_dir,
 )
@@ -187,8 +186,8 @@ def test_snapshot_round_trip_bit_identical(tmp_path, rng):
     catalog, index_dir, sources = saved_index(tmp_path, rows, {"a001": "b1", "s0": "b2"})
     loaded = load_index_dir(index_dir, TAXONOMY, sources)
     assert_same_catalog(catalog, loaded)
-    idx = build_indices(catalog, ["hat"])["hat"]
-    reloaded = build_indices(loaded, ["hat"])["hat"]
+    idx = CategoryIndex("hat", *catalog.embedding_matrix("hat"))
+    reloaded = CategoryIndex("hat", *loaded.embedding_matrix("hat"))
     assert reloaded.rows.tobytes() == idx.rows.tobytes()
     for _ in range(20):
         q = rng.standard_normal(d)
@@ -205,7 +204,7 @@ def test_snapshot_empty_index_round_trip(tmp_path, rng):
     catalog, index_dir, sources = saved_index(tmp_path, rows)
     loaded = load_index_dir(index_dir, TAXONOMY, sources)
     assert_same_catalog(catalog, loaded)
-    shoe = build_indices(loaded, ["shoe"])["shoe"]
+    shoe = CategoryIndex("shoe", *loaded.embedding_matrix("shoe"))
     assert shoe.size == 0 and shoe.dim == 7
     catalog, index_dir, sources = saved_index(tmp_path, {})
     loaded = load_index_dir(index_dir, TAXONOMY, sources)

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
 from lookforge.assembly import Edit, VerificationReport
+from lookforge.cli import ENV_JUDGE_URL, build_judge, effective_judge_spec
 from lookforge.errors import JudgeUnavailableError
 from lookforge.judge import PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
 from lookforge.retrieval import Candidate
@@ -186,6 +188,17 @@ def test_http_source_round_trip(http_judge_url):
     assert judge.verify({"look_id": "l1"})["verdict"] == "pass"
     assert _Handler.seen[0]["op"] == "verify"
     assert _Handler.seen[0]["payload"] == {"look_id": "l1"}
+
+
+def test_judge_url_without_scheme_round_trip(http_judge_url, monkeypatch):
+    # the scheme a spec or LOOKFORGE_JUDGE_URL leaves out is the spec's own
+    hostport = http_judge_url.removeprefix("http://")
+    monkeypatch.setenv(ENV_JUDGE_URL, hostport)
+    for spec in (f"http:{hostport}", effective_judge_spec(None, "passthrough")):
+        _Handler.seen = []
+        judge = build_judge(spec, Path("."), 5.0)
+        assert judge.verify({"look_id": "l1"})["verdict"] == "pass"
+        assert _Handler.seen == [{"op": "verify", "payload": {"look_id": "l1"}}]
 
 
 def test_http_source_retries_once(http_judge_url):

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lookforge
+
 from lookforge.catalog import Taxonomy, save_taxonomy, write_doc
+from lookforge.errors import UnknownCategoryError
 from lookforge.evidence import EvidenceStore, PartEvidence
 from lookforge.index import MANIFEST_FILE, load_index_dir, save_index_dir
 from lookforge.judge import PASS_SCRIPT, JudgeClient, ScriptedSource
@@ -90,6 +98,15 @@ def test_run_pipeline_aggregates_and_wins(scenario):
     assert isinstance(result.warnings, list)
 
 
+def test_unknown_body_category_raises(scenario):
+    catalog, taxonomy, store, prompt, _ = scenario
+    source = ScriptedSource(PASS_SCRIPT)
+    with pytest.raises(UnknownCategoryError, match="'bdy'"):
+        run_pipeline(catalog, taxonomy, store, prompt, JudgeClient(source), body_category="bdy")
+    # checked before the judge is consulted
+    assert source.calls == []
+
+
 def test_subspace_params_flow_through(scenario):
     catalog, taxonomy, store, prompt, _ = scenario
     plan = route(prompt, taxonomy)
@@ -105,3 +122,47 @@ def test_subspace_params_flow_through(scenario):
         != [c.asset_id for c in skinny[cat].pool]
         for cat in plan.target_categories
     )
+
+
+# Builds an 8x2,000 catalog at d=128, large enough for a threaded BLAS to
+# split the SVDs and matrix products, and prints run_retrieval's pools.json
+# body for every category.
+_POOLS_SCRIPT = """
+import json
+import numpy as np
+from lookforge.evidence import EvidenceStore, PartEvidence
+from lookforge.pipeline import run_retrieval
+from lookforge.retrieval import RetrievalConfig, pools_to_dict
+from lookforge.router import RoutingPlan
+from lookforge.synth import CategorySpec, SynthSpec, generate_catalog
+from lookforge.vecmath import normalize
+
+cats = tuple(f"c{i}" for i in range(8))
+spec = SynthSpec(d=128, categories=tuple(CategorySpec(c, 4, 2000) for c in cats), seed=5)
+catalog, _ = generate_catalog(spec)
+rng = np.random.default_rng(6)
+store = EvidenceStore()
+picks = [catalog.embedding_matrix(c)[1][int(rng.integers(2000))] for c in cats]
+store.add_view("front", normalize(np.sum(picks, axis=0)))
+for c in cats:
+    store.add_text_prior(c, normalize(catalog.embedding_matrix(c)[1].mean(axis=0)))
+part = normalize(picks[0] + 0.1 * rng.standard_normal(128))
+store.add_part(PartEvidence("c0", "valid", part, "front"))
+plan = RoutingPlan(cats, {}, {})
+pools = run_retrieval(plan, catalog, store, catalog.taxonomy, RetrievalConfig())
+print(json.dumps(pools_to_dict(pools), sort_keys=True))
+"""
+
+
+def test_pools_do_not_depend_on_blas_threads():
+    src = str(Path(lookforge.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOLS_SCRIPT], env=env, capture_output=True, check=True
+        )
+        outputs.append(proc.stdout)
+    assert b'"pools"' in outputs[0]
+    assert outputs[0] == outputs[1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lookforge.catalog import Taxonomy
+from lookforge.catalog import AssetCatalog, Taxonomy
 from lookforge.errors import MissingTextPriorError
 from lookforge.evidence import EvidenceStore, PartEvidence
 from lookforge.index import CategoryIndex
@@ -22,7 +22,7 @@ from lookforge.retrieval import (
     retrieve_concept_residual,
     retrieve_part,
 )
-from lookforge.vecmath import CategorySubspace, compute_category_subspace, normalize
+from lookforge.vecmath import compute_category_subspace, normalize
 
 
 def test_config_defaults_and_validation():
@@ -132,8 +132,7 @@ def interference_fixture():
     idx = CategoryIndex("top", ["dk", "tg"], rows[[1, 0]])
     g = normalize([1.0, 1.5, 0.0, 0.0])
     t_c = np.array([1.0, 0.0, 0.0, 0.0])
-    other = CategorySubspace("legs", np.eye(4)[:, 1:2], 1, np.array([1.0]))
-    return idx, g, t_c, {"legs": other, "top": CategorySubspace("top", np.eye(4)[:, 0:1], 1, np.array([1.0]))}
+    return idx, g, t_c, {"legs": np.eye(4)[:, 1:2], "top": np.eye(4)[:, 0:1]}
 
 
 def test_residual_suppression_flips_winner():
@@ -162,8 +161,7 @@ def test_residual_collapse_falls_back_to_text_prior():
     idx, g, t_c, _ = interference_fixture()
     cfg = RetrievalConfig(branch_k=2)
     # Suppress the entire visible span of g.
-    killer = CategorySubspace("legs", np.eye(4)[:, :2], 2, np.ones(2))
-    out, collapsed = retrieve_concept_residual(idx, g, t_c, {"legs": killer}, cfg)
+    out, collapsed = retrieve_concept_residual(idx, g, t_c, {"legs": np.eye(4)[:, :2]}, cfg)
     assert collapsed
     # Query degraded to t_c = e1, so the aligned target wins.
     assert out[0].asset_id == "tg"
@@ -178,9 +176,8 @@ def test_small_residual_is_not_collapsed():
         [0.2, 0.0, 1.0, 0.0],
     ]))
     g = normalize([0.0, 1.0, 1e-2, 0.0])
-    legs = CategorySubspace("legs", np.eye(4)[:, 1:2], 1, np.array([1.0]))
     out, collapsed = retrieve_concept_residual(
-        idx, g, [1.0, 0.0, 0.0, 0.0], {"legs": legs}, RetrievalConfig(branch_k=2)
+        idx, g, [1.0, 0.0, 0.0, 0.0], {"legs": np.eye(4)[:, 1:2]}, RetrievalConfig(branch_k=2)
     )
     assert not collapsed
     assert [c.asset_id for c in out] == ["resid", "prior"]
@@ -192,7 +189,8 @@ def test_small_residual_is_not_collapsed():
 def category_fixture(with_part: bool):
     tax = Taxonomy(categories=("legs", "top"), required_core=())
     rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.3, 0.954, 0.0, 0.0]])
-    idx = CategoryIndex("top", ["dk", "tg"], rows[[1, 0]])
+    # "legs" stays empty; only the target "tg" is in a bundle
+    catalog = AssetCatalog(tax, {"top": (["tg", "dk"], rows)}, {"tg": "bnd-1"})
     store = EvidenceStore(prompt_text="x")
     store.add_view("front", normalize([1.0, 1.5, 0.0, 0.0]))
     store.add_text_prior("top", [1.0, 0.0, 0.0, 0.0])
@@ -200,38 +198,39 @@ def category_fixture(with_part: bool):
         store.add_part(
             PartEvidence("top", "valid", np.array([0.98, 0.05, 0.0, 0.0]), "front")
         )
-    legs = CategorySubspace("legs", np.eye(4)[:, 1:2], 1, np.array([1.0]))
-    return idx, store, tax, {"legs": legs}
+    return catalog, store, tax, {"legs": np.eye(4)[:, 1:2]}
 
 
 def test_retrieve_category_with_part_evidence():
-    idx, store, tax, subs = category_fixture(with_part=True)
-    out = retrieve_category("top", idx, store, tax, subs, RetrievalConfig(branch_k=2))
+    catalog, store, tax, subs = category_fixture(with_part=True)
+    out = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
     assert out.used_part_evidence
     assert not out.residual_collapsed
     assert out.source_view == "front"
     assert out.pool[0].asset_id == "tg"
     # Both branches found both assets.
     assert {c.source for c in out.pool} == {"both"}
+    # Each pooled candidate carries its catalog bundle id, None without one.
+    assert [(c.asset_id, c.bundle_id) for c in out.pool] == [("tg", "bnd-1"), ("dk", None)]
 
 
 def test_retrieve_category_without_part_evidence():
-    idx, store, tax, subs = category_fixture(with_part=False)
-    out = retrieve_category("top", idx, store, tax, subs, RetrievalConfig(branch_k=2))
+    catalog, store, tax, subs = category_fixture(with_part=False)
+    out = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
     assert not out.used_part_evidence
     assert {c.source for c in out.pool} == {"concept_residual"}
 
 
 def test_retrieve_category_failed_part_uses_global_only():
-    idx, store, tax, subs = category_fixture(with_part=False)
+    catalog, store, tax, subs = category_fixture(with_part=False)
     store.add_part(PartEvidence("top", "failed"))
-    out = retrieve_category("top", idx, store, tax, subs, RetrievalConfig(branch_k=2))
+    out = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
     assert not out.used_part_evidence
 
 
 def test_pools_document_round_trip():
-    idx, store, tax, subs = category_fixture(with_part=True)
-    top = retrieve_category("top", idx, store, tax, subs, RetrievalConfig(branch_k=2))
+    catalog, store, tax, subs = category_fixture(with_part=True)
+    top = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
     legs = CategoryRetrieval(
         "legs", [cand("l1", 0.25, "concept_residual")], False, True, None, ["no view"]
     )
@@ -258,28 +257,21 @@ def test_pools_document_names_bad_entry(entry, detail):
 
 
 def test_retrieve_category_missing_text_prior():
-    idx, store, tax, subs = category_fixture(with_part=False)
+    catalog, store, tax, subs = category_fixture(with_part=False)
     with pytest.raises(MissingTextPriorError):
-        retrieve_category("legs", CategoryIndex("legs", [], np.empty((0, 4))), store, tax,
-                          subs, RetrievalConfig())
-
-
-def test_retrieve_category_index_mismatch():
-    idx, store, tax, subs = category_fixture(with_part=False)
-    with pytest.raises(ValueError):
-        retrieve_category("legs", idx, store, tax, subs, RetrievalConfig())
+        retrieve_category("legs", catalog, store, tax, subs, RetrievalConfig())
 
 
 def test_retrieve_category_pool_respects_pool_k(rng):
     tax = Taxonomy(categories=("top",), required_core=())
     n, d = 30, 8
     ids = [f"a{i:02d}" for i in range(n)]
-    idx = CategoryIndex("top", ids, rng.standard_normal((n, d)))
+    catalog = AssetCatalog(tax, {"top": (ids, rng.standard_normal((n, d)))})
     store = EvidenceStore()
     store.add_view("front", normalize(rng.standard_normal(d)))
     store.add_text_prior("top", normalize(rng.standard_normal(d)))
     cfg = RetrievalConfig(branch_k=25, pool_k=7, gate_k=3)
-    out = retrieve_category("top", idx, store, tax, {}, cfg)
+    out = retrieve_category("top", catalog, store, tax, {}, cfg)
     assert len(out.pool) == 7
     scores = [c.score for c in out.pool]
     assert scores == sorted(scores, reverse=True)

@@ -16,7 +16,6 @@ from lookforge.errors import (
     ZeroVectorError,
 )
 from lookforge.vecmath import (
-    CategorySubspace,
     SubspaceParams,
     canonical_rows,
     compute_category_subspace,
@@ -94,12 +93,11 @@ def test_canonical_rows_zero_row_raises():
 
 
 def test_subspace_duplicate_rows_singular_value():
-    # Ten copies of e1: the only singular value is sqrt(10).
+    # Ten copies of e1: one nonzero singular value, so one direction, e1.
     rows = np.tile(np.array([[1.0, 0.0, 0.0]]), (10, 1))
-    sub = compute_category_subspace("hat", rows)
-    assert sub.rank == 1
-    assert sub.singular_values[0] == pytest.approx(math.sqrt(10.0), rel=1e-12)
-    assert abs(float(sub.basis[0, 0])) == pytest.approx(1.0, abs=1e-12)
+    basis = compute_category_subspace("hat", rows)
+    assert basis.shape == (3, 1)
+    assert abs(float(basis[0, 0])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subspace_variance_policy_two_directions():
@@ -108,25 +106,26 @@ def test_subspace_variance_policy_two_directions():
     rows = np.vstack(
         [np.tile([[1.0, 0.0, 0.0]], (5, 1)), np.tile([[0.0, 1.0, 0.0]], (5, 1))]
     )
-    sub = compute_category_subspace("hat", rows)
-    assert sub.rank == 2
-    assert np.allclose(sub.singular_values, [math.sqrt(5.0)] * 2, atol=1e-9)
+    basis = compute_category_subspace("hat", rows)
+    assert basis.shape[1] == 2
+    # The two directions span e1 and e2.
+    assert np.allclose(basis @ basis.T, np.diag([1.0, 1.0, 0.0]), atol=1e-9)
     # Threshold at exactly the first step keeps rank 1.
-    sub_low = compute_category_subspace("hat", rows, SubspaceParams(variance_threshold=0.5))
-    assert sub_low.rank == 1
+    low = compute_category_subspace("hat", rows, SubspaceParams(variance_threshold=0.5))
+    assert low.shape[1] == 1
 
 
 def test_subspace_fixed_rank_clamped():
     rows = np.eye(3)[:2]
-    sub = compute_category_subspace("hat", rows, SubspaceParams(rank=10))
-    assert sub.rank == 2  # clamped to n
+    basis = compute_category_subspace("hat", rows, SubspaceParams(rank=10))
+    assert basis.shape[1] == 2  # clamped to n
 
 
 def test_subspace_max_rank_cap():
     rng = np.random.default_rng(1)
     rows = rng.standard_normal((40, 24))
-    sub = compute_category_subspace("hat", rows, SubspaceParams(max_rank=5))
-    assert sub.rank == 5
+    basis = compute_category_subspace("hat", rows, SubspaceParams(max_rank=5))
+    assert basis.shape[1] == 5
 
 
 def test_subspace_empty_raises():
@@ -140,44 +139,42 @@ def test_subspace_center_flag():
     rows = np.array([[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.1, 0.0]])
     plain = compute_category_subspace("c", rows, SubspaceParams(rank=1))
     centered = compute_category_subspace("c", rows, SubspaceParams(rank=1, center=True))
-    assert abs(float(plain.basis[0, 0])) > 0.9
-    assert abs(float(centered.basis[1, 0])) > 0.9
+    assert abs(float(plain[0, 0])) > 0.9
+    assert abs(float(centered[1, 0])) > 0.9
 
 
 def test_subspace_basis_orthonormal(rng):
     rows = rng.standard_normal((30, 16))
-    sub = compute_category_subspace("c", rows, SubspaceParams(rank=6))
-    gram = sub.basis.T @ sub.basis
+    basis = compute_category_subspace("c", rows, SubspaceParams(rank=6))
+    gram = basis.T @ basis
     assert np.allclose(gram, np.eye(6), atol=1e-10)
 
 
 def test_project_in_and_out_of_subspace():
-    basis = np.eye(4)[:, :2]
-    sub = CategorySubspace("c", basis, 2, np.array([1.0, 1.0]))
+    # suppress subtracts the projection onto the basis: ``v - suppress(v)``.
+    others = {"c": np.eye(4)[:, :2]}
     inside = np.array([0.3, -0.7, 0.0, 0.0])
     outside = np.array([0.0, 0.0, 2.0, -1.0])
-    assert np.allclose(sub.project(inside), inside, atol=1e-12)
-    assert np.allclose(sub.project(outside), 0.0, atol=1e-12)
+    assert np.allclose(inside - suppress(inside, others), inside, atol=1e-12)
+    assert np.allclose(outside - suppress(outside, others), 0.0, atol=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_project_idempotent(seed):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((12, 8))
-    sub = compute_category_subspace("c", rows, SubspaceParams(rank=3))
+    others = {"c": compute_category_subspace("c", rows, SubspaceParams(rank=3))}
     v = rng.standard_normal(8)
-    once = sub.project(v)
-    assert np.linalg.norm(sub.project(once) - once) <= 1e-9
+    once = suppress(v, others)
+    assert np.linalg.norm(suppress(once, others) - once) <= 1e-9
 
 
 # --- suppress ----------------------------------------------------------------
 
 
 def test_suppress_known_residual():
-    basis = np.eye(3)[:, :1]
-    sub = CategorySubspace("a", basis, 1, np.array([1.0]))
     g = _unit([1.0, 1.0, 0.0])
-    r = suppress(g, {"a": sub})
+    r = suppress(g, {"a": np.eye(3)[:, :1]})
     assert np.allclose(r, [0.0, 1.0 / math.sqrt(2.0), 0.0], atol=1e-12)
     # Residual is returned unnormalized.
     assert np.linalg.norm(r) == pytest.approx(1.0 / math.sqrt(2.0))
@@ -193,19 +190,17 @@ def test_suppress_order_is_ascending_category_id():
     # depends on application order, so pin it by id.
     b1 = _unit([1.0, 0.0, 0.0]).reshape(3, 1)
     b2 = _unit([1.0, 1.0, 0.0]).reshape(3, 1)
-    s1 = CategorySubspace("a", b1, 1, np.array([1.0]))
-    s2 = CategorySubspace("b", b2, 1, np.array([1.0]))
     g = np.array([0.2, 0.5, 0.8])
 
     r = g.copy()
-    for sub in (s1, s2):  # ascending id order
-        r = r - sub.project(r)
-    got = suppress(g, {"b": s2, "a": s1})  # insertion order should not matter
+    for b in (b1, b2):  # ascending id order
+        r = r - b @ (b.T @ r)
+    got = suppress(g, {"b": b2, "a": b1})  # insertion order should not matter
     assert np.allclose(got, r, atol=1e-12)
     # And the reversed order genuinely differs, so the test has teeth.
     r_rev = g.copy()
-    for sub in (s2, s1):
-        r_rev = r_rev - sub.project(r_rev)
+    for b in (b2, b1):
+        r_rev = r_rev - b @ (b.T @ r_rev)
     assert not np.allclose(r, r_rev)
 
 
@@ -213,9 +208,8 @@ def test_suppress_order_is_ascending_category_id():
 def test_suppress_annihilates_in_subspace_vectors(seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((16, 4)))
-    sub = CategorySubspace("c", q, 4, np.ones(4))
     v = q @ rng.standard_normal(4)
-    assert np.linalg.norm(suppress(v, {"c": sub})) <= 1e-6 * max(
+    assert np.linalg.norm(suppress(v, {"c": q})) <= 1e-6 * max(
         1.0, np.linalg.norm(v)
     )
 
@@ -224,19 +218,16 @@ def test_suppress_annihilates_in_subspace_vectors(seed):
 def test_suppress_preserves_orthogonal_component(seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((16, 8)))
-    sub_a = CategorySubspace("a", q[:, :4], 4, np.ones(4))
-    sub_b = CategorySubspace("b", q[:, 4:8], 4, np.ones(4))
     # Build a vector orthogonal to both subspaces.
     v = rng.standard_normal(16)
     v -= q @ (q.T @ v)
-    r = suppress(v, {"a": sub_a, "b": sub_b})
+    r = suppress(v, {"a": q[:, :4], "b": q[:, 4:8]})
     assert np.linalg.norm(r - v) <= 1e-6 * max(1.0, np.linalg.norm(v))
 
 
 def test_suppress_dimension_mismatch():
-    sub = CategorySubspace("a", np.eye(3)[:, :1], 1, np.array([1.0]))
     with pytest.raises(DimensionMismatchError):
-        suppress(np.ones(4), {"a": sub})
+        suppress(np.ones(4), {"a": np.eye(3)[:, :1]})
 
 
 # --- fuse --------------------------------------------------------------------
