@@ -1,22 +1,31 @@
-"""Catalog and taxonomy ingestion.
+"""Catalog and taxonomy ingestion, and the index directory.
 
 Catalogs arrive as JSONL, one asset per line:
 
     {"asset_id": "hat-001", "category_id": "hat", "embedding": [...],
      "title": "straw sun hat", "quality_flag": "curated", "bundle_id": "b1"}
 
-``bundle_id`` is optional. Bad records are skipped and reported per line;
-only a dimension mismatch between otherwise-valid records aborts the
-ingest, because a mixed-dimension catalog cannot be indexed at all.
-``title`` and ``quality_flag`` are required and validated but not kept:
-the catalog holds what retrieval reads, one id-ordered matrix per
-category, plus each asset's bundle id.
+``bundle_id`` is optional; ``title`` and ``quality_flag`` are validated
+but not kept. Bad records, an embedding without a finite nonzero norm
+among them, are skipped and reported per line; only a dimension mismatch
+between valid records aborts the ingest. The catalog is one
+:class:`~lookforge.index.CategoryIndex` per category plus the bundle map.
+
+``build-index`` saves the catalog as ``catalog.npz`` (format version 2):
+``meta``, JSON of each non-empty category's asset ids (JSON round-trips
+any id; numpy strings drop a trailing NUL) and the bundle map, and
+``rows_<i>``, the i-th category's float64 matrix. ``manifest.json`` holds
+the sha256 of the npz and of the catalog and taxonomy files; loading
+checks them all, so a stale index is never searched.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import math
 import os
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Container, Iterable, Mapping, Sequence
@@ -24,10 +33,15 @@ from typing import BinaryIO, Callable, Container, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ChecksumMismatchError,
     DimensionMismatchError,
     InvalidTaxonomyError,
+    SnapshotIoError,
     UnknownCategoryError,
+    VersionMismatchError,
 )
+from .index import CategoryIndex
+from .vecmath import ZERO_NORM_EPS
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +52,10 @@ QUALITY_FLAGS = frozenset({"curated", "unfiltered"})
 
 TAXONOMY_SCHEMA_VERSION = 1
 REQUIRED_ASSET_FIELDS = ("asset_id", "category_id", "embedding", "title", "quality_flag")
+
+INDEX_FORMAT_VERSION = 2
+INDEX_FILE = "catalog.npz"
+MANIFEST_FILE = "manifest.json"
 
 
 @dataclass(frozen=True)
@@ -203,23 +221,25 @@ class IngestReport:
             "n_rejected": self.n_rejected,
             "rejections": [asdict(r) for r in self.rejections],
             "dimension": catalog.dimension,
-            "categories": {
-                c: len(catalog.embedding_matrix(c)[0]) for c in catalog.taxonomy.categories
-            },
+            "categories": {c: catalog.index(c).size for c in catalog.taxonomy.categories},
         }
 
 
 class AssetCatalog:
-    """Each category's asset ids in ascending order and one read-only
-    float64 n x d matrix whose rows follow them, plus ``bundles`` (asset
-    id -> bundle id, for the assets that have one).
+    """Each category's :class:`~lookforge.index.CategoryIndex` over its ids
+    in ascending order and one read-only float64 n x d matrix whose rows
+    follow them, plus ``bundles`` (asset id -> bundle id, where one exists).
 
     ``rows`` maps a category id to (asset ids, matrix with one row per id)
     in any row order; categories left out are empty. The catalog owns each
-    matrix and keeps one already in id order without a copy. Raises
+    matrix and keeps one already in id order without a copy, as a
+    read-only view: the caller must not write that array afterwards,
+    because the index's row norms are computed once. Raises
     :class:`UnknownCategoryError` for a category outside the taxonomy,
     :class:`DimensionMismatchError` when a matrix does not fit its ids or
-    the first matrix's dimension, and ``ValueError`` for a repeated id.
+    the first matrix's dimension, ``ValueError`` for a repeated id, and
+    :class:`NonFiniteVectorError` or :class:`ZeroVectorError` for a row
+    without a finite nonzero norm.
     """
 
     def __init__(
@@ -234,7 +254,7 @@ class AssetCatalog:
         self.taxonomy = taxonomy
         self.bundles = dict(bundles or {})
         self.dimension = next((int(np.shape(m)[1]) for _, m in rows.values()), None)
-        self._categories: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+        self._indices: dict[str, CategoryIndex] = {}
         seen: set[str] = set()
         for cid in taxonomy.categories:
             ids, matrix = rows.get(cid, ((), np.empty((0, self.dimension or 0))))
@@ -250,14 +270,19 @@ class AssetCatalog:
             order = sorted(range(len(ids)), key=ids.__getitem__)
             matrix = matrix.view() if order == sorted(order) else matrix[order]
             matrix.flags.writeable = False
-            self._categories[cid] = (tuple(ids[k] for k in order), matrix)
+            self._indices[cid] = CategoryIndex(cid, [ids[k] for k in order], matrix)
+
+    def index(self, category_id: str) -> CategoryIndex:
+        """The category's search index, built once with the catalog."""
+        if category_id not in self._indices:
+            raise UnknownCategoryError(f"unknown category {category_id!r}")
+        return self._indices[category_id]
 
     def embedding_matrix(self, category_id: str) -> tuple[tuple[str, ...], np.ndarray]:
         """(asset ids, read-only embedding matrix) for a category, in
         asset-id order; the stored values, not copies."""
-        if category_id not in self._categories:
-            raise UnknownCategoryError(f"unknown category {category_id!r}")
-        return self._categories[category_id]
+        index = self.index(category_id)
+        return index.asset_ids, index.rows
 
 
 def _parse_record(
@@ -282,10 +307,12 @@ def _parse_record(
         raise ValueError("bad_embedding: embedding must be a non-empty list")
     try:
         emb = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad_embedding: {exc}") from exc
-    if emb.ndim != 1 or not np.all(np.isfinite(emb)) or np.linalg.norm(emb) <= 1e-12:
-        raise ValueError("bad_embedding: must be a finite nonzero 1-D vector")
+    # the row rule of CategoryIndex, computed the same way; a NaN norm fails too
+    norm = math.sqrt(np.einsum("i,i", emb, emb)) if emb.ndim == 1 else math.nan
+    if not ZERO_NORM_EPS < norm < math.inf:
+        raise ValueError("bad_embedding: must be a 1-D vector with a finite nonzero norm")
     if dimension is not None and emb.shape[0] != dimension:
         # Dimension disagreement is not a per-record defect.
         raise DimensionMismatchError(
@@ -359,3 +386,85 @@ def ingest_catalog(
         report.n_loaded += 1
     rows = {cid: (cat_ids, buffers[cid][: len(cat_ids)]) for cid, cat_ids in ids.items()}
     return AssetCatalog(taxonomy, rows, bundles), report
+
+
+def _sha256(fh) -> str:
+    """Hex sha256 of an open binary file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _source_sha256(sources: Mapping[str, str | Path]) -> dict[str, str]:
+    digests = {}
+    for name, path in sorted(sources.items()):
+        with open(path, "rb") as fh:
+            digests[name] = _sha256(fh)
+    return digests
+
+
+def save_index_dir(
+    catalog: AssetCatalog, index_dir: str | Path, sources: Mapping[str, str | Path]
+) -> dict:
+    """Write ``catalog`` to ``index_dir/catalog.npz``; returns the manifest
+    body, which records the npz's digest and that of each named source file."""
+    categories = [c for c in catalog.taxonomy.categories if catalog.embedding_matrix(c)[0]]
+    meta = {
+        "categories": [[c, list(catalog.embedding_matrix(c)[0])] for c in categories],
+        "bundles": dict(sorted(catalog.bundles.items())),
+    }
+    arrays = {f"rows_{i}": catalog.embedding_matrix(c)[1] for i, c in enumerate(categories)}
+    meta_bytes = np.frombuffer(json.dumps(meta).encode("ascii"), np.uint8)
+    index_dir = Path(index_dir)
+    index_dir.mkdir(parents=True, exist_ok=True)
+    path = index_dir / INDEX_FILE
+    replace_file(path, lambda fh: np.savez(fh, meta=meta_bytes, **arrays))
+    with open(path, "rb") as fh:
+        index_sha256 = _sha256(fh)
+    return {
+        "format_version": INDEX_FORMAT_VERSION,
+        "index_sha256": index_sha256,
+        "source_sha256": _source_sha256(sources),
+    }
+
+
+def load_index_dir(
+    index_dir: str | Path, taxonomy: Taxonomy, sources: Mapping[str, str | Path]
+) -> AssetCatalog:
+    """The catalog ``save_index_dir`` wrote. A missing or malformed manifest
+    or npz raises :class:`SnapshotIoError`, another format version
+    :class:`VersionMismatchError`, and a source file or npz whose digest
+    differs from the manifest's :class:`ChecksumMismatchError`."""
+    index_dir = Path(index_dir)
+    manifest_path = index_dir / MANIFEST_FILE
+    try:
+        manifest = read_doc(manifest_path)
+        version = manifest.get("format_version")
+    except (OSError, ValueError, AttributeError) as exc:
+        raise SnapshotIoError(f"cannot read {manifest_path}: {exc}; run build-index") from exc
+    if version != INDEX_FORMAT_VERSION:
+        raise VersionMismatchError(
+            f"{manifest_path} has index format version {version}, supported version "
+            f"{INDEX_FORMAT_VERSION}; run build-index"
+        )
+    recorded = manifest.get("source_sha256")
+    for name, digest in _source_sha256(sources).items():
+        if not isinstance(recorded, dict) or recorded.get(name) != digest:
+            raise ChecksumMismatchError(
+                f"{name} file {sources[name]} changed since the index was built; run build-index"
+            )
+    path = index_dir / INDEX_FILE
+    try:
+        with open(path, "rb") as fh:
+            if _sha256(fh) != manifest.get("index_sha256"):
+                raise ChecksumMismatchError(f"{path} failed checksum verification")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                meta = json.loads(npz["meta"].tobytes())
+                cats = meta["categories"]
+                rows = {cid: (ids, npz[f"rows_{i}"]) for i, (cid, ids) in enumerate(cats)}
+                bundles = dict(meta["bundles"])
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise SnapshotIoError(f"cannot read {path}: {exc}; run build-index") from exc
+    return AssetCatalog(taxonomy, rows, bundles)

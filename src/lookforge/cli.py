@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .assembly import GenerationBudget
-from .catalog import Taxonomy, ingest_catalog, load_taxonomy, read_doc, write_doc
+from .catalog import MANIFEST_FILE, Taxonomy, ingest_catalog, load_index_dir, load_taxonomy
+from .catalog import read_doc, save_index_dir, write_doc
 from .errors import PipelineError
 from .evalsuite import ABLATIONS, markdown_table, run_interference_suite
 from .evidence import load_evidence
-from .index import MANIFEST_FILE, load_index_dir, save_index_dir
 from .judge import DEFAULT_HTTP_TIMEOUT, PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
 from .pipeline import run_assembly, run_retrieval
 from .retrieval import RetrievalConfig, pools_from_dict, pools_to_dict

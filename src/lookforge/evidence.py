@@ -9,7 +9,7 @@ crop from a failed detection instead of guessing from missing fields.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

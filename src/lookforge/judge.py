@@ -26,6 +26,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -38,6 +39,7 @@ logger = logging.getLogger(__name__)
 JUDGE_OPS = ("filter_grid", "select_outfit", "verify", "compare_batch", "advise")
 
 DEFAULT_HTTP_TIMEOUT = 10.0
+RETRY_PAUSE_S = 0.5  # before HttpSource's one retry
 
 # The ``passthrough`` judge: keep every candidate, pick each pool's top,
 # pass every look, and let each batch's first look win. It has no advisor
@@ -83,8 +85,8 @@ class ScriptedSource:
 
 
 class HttpSource:
-    """POSTs ``{"op": ..., "payload": ...}`` as JSON; retries a transport
-    failure, a 5xx or an unreadable body once, and a 4xx never."""
+    """POSTs ``{"op": ..., "payload": ...}`` as JSON; retries a transport failure, a 5xx
+    or an unreadable body once, after ``RETRY_PAUSE_S``, and a 4xx never."""
 
     def __init__(self, url: str, timeout: float = DEFAULT_HTTP_TIMEOUT):
         self.url = url
@@ -113,6 +115,7 @@ class HttpSource:
                 last_error = exc
             if attempt == 0:
                 logger.warning("judge request %r failed (%s); retrying once", op, last_error)
+                time.sleep(RETRY_PAUSE_S)
         raise JudgeUnavailableError(f"judge endpoint failed for {op!r}: {last_error}")
 
 

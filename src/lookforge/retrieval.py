@@ -14,14 +14,15 @@ numerical zero when the global embedding lies entirely in other
 categories' subspaces; the branch then degrades to the text prior alone
 rather than searching with noise.
 
-:func:`retrieve_category` is the one per-category call: it builds the
-category's index from the catalog and tags each pooled candidate with its
+:func:`retrieve_category` is the one per-category call: it searches the
+category's index in the catalog and tags each pooled candidate with its
 asset's bundle id. :func:`retrieve_part` and
 :func:`retrieve_concept_residual` run single branches over a given index.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -78,11 +79,20 @@ class Candidate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> Candidate:
-        """Parse one pools.json entry; ``bundle_id`` is required, string or null."""
+        """Parse one pools.json entry, checking each field's type; nothing
+        is coerced. ``bundle_id`` is required, string or null."""
+        asset_id, score, source = doc["asset_id"], doc["score"], doc["source"]
         bundle_id = doc["bundle_id"]
+        if not isinstance(asset_id, str) or not asset_id:
+            raise ValueError(f"asset_id must be a non-empty string, got {asset_id!r}")
+        number = isinstance(score, (int, float)) and not isinstance(score, bool)
+        if not number or not math.isfinite(score):
+            raise ValueError(f"score must be a finite number, got {score!r}")
+        if source not in ("part", "concept_residual", "both"):
+            raise ValueError(f"source must be part, concept_residual or both, got {source!r}")
         if bundle_id is not None and not isinstance(bundle_id, str):
             raise ValueError(f"bundle_id must be a string or null, got {bundle_id!r}")
-        return cls(str(doc["asset_id"]), float(doc["score"]), str(doc["source"]), bundle_id)
+        return cls(asset_id, float(score), source, bundle_id)
 
 
 @dataclass
@@ -111,7 +121,7 @@ class CategoryRetrieval:
                 pool.append(Candidate.from_dict(entry))
             except KeyError as exc:
                 raise ValueError(f"pool entry {i} has no key {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"pool entry {i}: {exc}") from exc
         return cls(category_id, **{**doc, "pool": pool})
 
@@ -213,7 +223,7 @@ def retrieve_category(
 ) -> CategoryRetrieval:
     """Run both branches over the catalog's rows of one routed category
     and pool the results, each tagged with its asset's bundle id."""
-    index = CategoryIndex(category_id, *catalog.embedding_matrix(category_id))
+    index = catalog.index(category_id)
     warnings: list[str] = []
     t_c = store.text_prior(category_id)
 

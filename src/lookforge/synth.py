@@ -27,7 +27,6 @@ from .assembly import GenerationBudget
 from .catalog import AssetCatalog, Taxonomy, save_taxonomy, write_doc
 from .errors import InfeasibleSpecError, ScenarioConstructionFailedError
 from .evidence import EvidenceStore, PartEvidence, save_evidence
-from .index import CategoryIndex
 from .judge import PASS_SCRIPT
 from .pipeline import run_retrieval
 from .retrieval import RetrievalConfig, retrieve_concept_residual, retrieve_part
@@ -259,7 +258,7 @@ def generate_interference_scenario(
         t_c = normalize(rows.mean(axis=0))
 
         subspaces = estimate_subspaces(catalog)
-        index = CategoryIndex(target_cat, ids, rows)
+        index = catalog.index(target_cat)
 
         suppressed, collapsed = retrieve_concept_residual(
             index, g, t_c, subspaces, cfg

@@ -1,9 +1,10 @@
 """Embedding math: normalization, category subspaces, suppression, fusion.
 
-All public functions operate on 1-D float64 numpy arrays of a shared
-dimension ``d``. Vectors are validated for finiteness; zero-norm inputs
-raise instead of silently producing NaN. A category subspace is its
-orthonormal (d, r) basis matrix.
+Vectors are 1-D float64 numpy arrays of a shared dimension ``d``,
+validated for finiteness; zero-norm inputs raise instead of silently
+producing NaN. A category subspace is its orthonormal (d, r) basis
+matrix. Catalog rows are never normalized or cast here: search scores
+the catalog's float64 rows against their norms (:mod:`lookforge.index`).
 """
 from __future__ import annotations
 
@@ -53,25 +54,6 @@ def normalize(v) -> np.ndarray:
     if n <= ZERO_NORM_EPS:
         raise ZeroVectorError(f"cannot normalize vector with norm {n!r}")
     return v / n
-
-
-def canonical_rows(embeddings: np.ndarray) -> np.ndarray:
-    """Normalize rows in float64 and cast to float32.
-
-    This is the single canonical representation for stored index rows.
-    Search and the test suite's brute-force oracle (``tests/oracle.py``)
-    must both score against rows produced here, otherwise float32 rounding
-    flips near-tied ranks between them.
-    """
-    m = np.asarray(embeddings, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteVectorError("embedding matrix contains NaN or infinite entries")
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroVectorError("embedding matrix contains a zero row")
-    return (m / norms[:, None]).astype(np.float32)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Reference ranking oracle for the index tests.
 
-Same row canonicalization contract as the index (``canonical_rows``), with
-an independent scoring loop and sort, so a disagreement points at the
-index's search rather than at the oracle.
+Same scoring contract as the index, a row scores ``(row . q) / ||row||``
+over the given float64 rows, with an independent scoring loop and sort,
+so a disagreement points at the index's search rather than at the oracle.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from lookforge.catalog import AssetCatalog
-from lookforge.vecmath import as_vector, canonical_rows, normalize
+from lookforge.vecmath import as_vector, normalize
 
 
 def brute_force_ranking(
@@ -19,17 +19,17 @@ def brute_force_ranking(
 ) -> list[tuple[str, float]]:
     """Full ranking by cosine, scored row by row and sorted in python.
 
-    Rows pass through the same float32 canonicalization the index applies
-    to stored rows (that is the storage contract, shared on purpose); the
-    scoring loop and the (-score, asset_id) sort are independent of the
-    index implementation. Ties resolve to the lower asset id.
+    Each row is divided by its own norm after the dot product, the
+    index's scoring contract (shared on purpose); the scoring loop and the
+    (-score, asset_id) sort are independent of the index implementation.
+    Ties resolve to the lower asset id.
     """
-    rows = canonical_rows(np.asarray(embeddings, dtype=np.float64))
+    rows = np.asarray(embeddings, dtype=np.float64)
     if rows.shape[0] != len(asset_ids):
         raise ValueError(f"{rows.shape[0]} rows for {len(asset_ids)} ids")
     q = normalize(as_vector(query, d=int(rows.shape[1])))
     scored = [
-        (-float(np.dot(row.astype(np.float64), q)), aid)
+        (-float(np.dot(row, q) / np.linalg.norm(row)), aid)
         for aid, row in zip(asset_ids, rows)
     ]
     scored.sort()

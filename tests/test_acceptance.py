@@ -23,17 +23,18 @@ from lookforge.assembly import (
     tournament,
     validate_look,
 )
-from lookforge.catalog import Taxonomy, save_taxonomy, write_doc
+from lookforge.catalog import (
+    INDEX_FILE,
+    MANIFEST_FILE,
+    Taxonomy,
+    load_index_dir,
+    save_index_dir,
+    save_taxonomy,
+    write_doc,
+)
 from lookforge.cli import main as cli_main
 from lookforge.errors import ChecksumMismatchError
 from lookforge.evalsuite import markdown_table, run_interference_suite
-from lookforge.index import (
-    INDEX_FILE,
-    MANIFEST_FILE,
-    CategoryIndex,
-    load_index_dir,
-    save_index_dir,
-)
 from lookforge.judge import JudgeClient, ScriptedSource
 from lookforge.retrieval import (
     Candidate,
@@ -78,7 +79,7 @@ def test_criterion_01_index_matches_reference_ranking():
             seed=seed,
         )
         catalog, _ = generate_catalog(spec)
-        index = CategoryIndex("stock", *catalog.embedding_matrix("stock"))
+        index = catalog.index("stock")
         rng = np.random.default_rng(10_000 + seed)
         for _ in range(10):
             q = rng.standard_normal(64)
@@ -190,7 +191,7 @@ def test_criterion_05_fusion_endpoints():
         seed=77,
     )
     catalog, _ = generate_catalog(spec)
-    index = CategoryIndex("stock", *catalog.embedding_matrix("stock"))
+    index = catalog.index("stock")
     rng = np.random.default_rng(5)
     p_c = normalize(rng.standard_normal(16))
     t_c = normalize(rng.standard_normal(16))
@@ -475,13 +476,13 @@ def test_criterion_10_snapshot_fidelity(tmp_path):
         seed=9,
     )
     catalog, _ = generate_catalog(spec)
-    index = CategoryIndex("stock", *catalog.embedding_matrix("stock"))
+    index = catalog.index("stock")
     sources = {"taxonomy": tmp_path / "taxonomy.json"}
     save_taxonomy(catalog.taxonomy, sources["taxonomy"])
     index_dir = tmp_path / "indices"
     write_doc(index_dir / MANIFEST_FILE, save_index_dir(catalog, index_dir, sources))
     reloaded = load_index_dir(index_dir, catalog.taxonomy, sources)
-    loaded = CategoryIndex("stock", *reloaded.embedding_matrix("stock"))
+    loaded = reloaded.index("stock")
 
     rng = np.random.default_rng(17)
     mismatches = 0

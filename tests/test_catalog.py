@@ -17,7 +17,9 @@ from lookforge.catalog import (
 from lookforge.errors import (
     DimensionMismatchError,
     InvalidTaxonomyError,
+    NonFiniteVectorError,
     UnknownCategoryError,
+    ZeroVectorError,
 )
 from lookforge.synth import CategorySpec, SynthSpec, _write_catalog, generate_catalog
 
@@ -94,6 +96,24 @@ def test_ingest_skips_bad_records_with_reasons():
     assert [r.line_no for r in report.rejections] == [1, 2, 4, 5, 6, 7, 8, 9, 10]
 
 
+def test_ingest_rejects_embedding_whose_norm_overflows():
+    # finite entries, but the norm is not: no index could score the row
+    tax = make_taxonomy()
+    lines = [line("a0", emb=(1e200, 1e200)), line("a1")]
+    cat, report = ingest_catalog(lines, tax)
+    assert [(r.line_no, r.reason) for r in report.rejections] == [(1, "bad_embedding")]
+    assert cat.embedding_matrix("hat")[0] == ("a1",)
+
+
+def test_ingest_rejects_integer_beyond_float_range_per_line():
+    tax = make_taxonomy()
+    huge = '{"asset_id": "a0", "category_id": "hat", "embedding": [1%s, 0], ' \
+        '"title": "x", "quality_flag": "curated"}' % ("0" * 400)
+    cat, report = ingest_catalog([line("a1"), huge, line("a2", emb=(0.0, 1.0))], tax)
+    assert [(r.line_no, r.reason) for r in report.rejections] == [(2, "bad_embedding")]
+    assert cat.embedding_matrix("hat")[0] == ("a1", "a2")
+
+
 def test_ingest_dimension_mismatch_is_fatal():
     tax = make_taxonomy()
     with pytest.raises(DimensionMismatchError):
@@ -146,6 +166,27 @@ def test_embedding_matrix_is_the_stored_parse_in_id_order(rng):
         want = [d for d in docs if d["category_id"] == cid]
         assert ids == tuple(d["asset_id"] for d in want)
         np.testing.assert_array_equal(m, np.array([d["embedding"] for d in want]))
+
+
+def test_catalog_index_shares_the_embedding_matrix():
+    tax = make_taxonomy()
+    cat, _ = ingest_catalog([line("b", emb=(0.0, 2.0)), line("a")], tax)
+    ids, m = cat.embedding_matrix("hat")
+    index = cat.index("hat")
+    assert index.asset_ids == ids and index.category_id == "hat"
+    assert np.shares_memory(index.rows, m)
+    assert [h.asset_id for h in index.search([0.0, 1.0], k=2)] == ["b", "a"]
+    with pytest.raises(UnknownCategoryError):
+        cat.index("pants")
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([0.0, 0.0], ZeroVectorError),
+    ([np.nan, 1.0], NonFiniteVectorError),
+], ids=["zero", "nan"])
+def test_catalog_rejects_row_without_finite_nonzero_norm(bad, error):
+    with pytest.raises(error):
+        AssetCatalog(make_taxonomy(), {"hat": (["a", "b"], np.array([[1.0, 0.0], bad]))})
 
 
 def test_catalog_rejects_unknown_category():

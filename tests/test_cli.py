@@ -357,6 +357,24 @@ class TestStageCommands:
         assert message.startswith("pools.json category 'body': pool entry 0")
         assert "bundle_id" in message and message.endswith("re-run retrieve")
 
+    @pytest.mark.parametrize("key, bad", [
+        ("asset_id", None), ("source", 7), ("score", True),
+    ], ids=["null_asset", "number_source", "bool_score"])
+    def test_assemble_rejects_pool_entry_of_wrong_type(self, demo, tmp_path, capsys, key, bad):
+        # nothing is coerced: a null asset id never becomes the asset "None"
+        root = tmp_path / "bad-entry"
+        shutil.copytree(demo, root)
+        pools_path = root / "output" / "pools.json"
+        doc = json.loads(pools_path.read_text())
+        doc["pools"]["body"]["pool"][0][key] = bad
+        pools_path.write_text(json.dumps(doc))
+        assert main(["assemble", "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "assemble.InvalidValue"
+        assert err["error"]["message"].startswith(
+            f"pools.json category 'body': pool entry 0: {key} must be"
+        )
+
     def test_retrieve_before_route_fails_cleanly(self, tmp_path, capsys):
         root = tmp_path / "fresh"
         generate_pipeline_scenario(root, seed=5)

@@ -7,30 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lookforge.catalog import AssetCatalog, Taxonomy, read_doc, save_taxonomy, write_doc
+from lookforge.catalog import (
+    INDEX_FILE,
+    MANIFEST_FILE,
+    AssetCatalog,
+    Taxonomy,
+    load_index_dir,
+    read_doc,
+    save_index_dir,
+    save_taxonomy,
+    write_doc,
+)
 from lookforge.errors import (
     ChecksumMismatchError,
+    NonFiniteVectorError,
     SnapshotIoError,
     VersionMismatchError,
     ZeroVectorError,
 )
-from lookforge.index import (
-    INDEX_FILE,
-    MANIFEST_FILE,
-    CategoryIndex,
-    SearchHit,
-    load_index_dir,
-    save_index_dir,
-)
+from lookforge.index import CategoryIndex, SearchHit
 
 
-def oracle_ids(asset_ids, rows_f32, query, k):
-    """Independent reference ranking: per-row dots, full python sort."""
+def oracle_ids(asset_ids, rows, query, k):
+    """Independent reference ranking: per-row dots over row norms, full
+    python sort."""
     q = np.asarray(query, dtype=np.float64)
     q = q / np.linalg.norm(q)
     scored = [
-        (-float(np.dot(row.astype(np.float64), q)), aid)
-        for aid, row in zip(asset_ids, rows_f32)
+        (-float(np.dot(row, q) / np.linalg.norm(row)), aid)
+        for aid, row in zip(asset_ids, rows)
     ]
     scored.sort()
     return [aid for _, aid in scored[:k]]
@@ -99,13 +104,32 @@ def test_constructor_requires_sorted_unique_ids():
         CategoryIndex("hat", ["a", "a"], rows)
 
 
-def test_rows_are_unit_float32_and_readonly():
+def test_rows_are_the_given_float64_rows_readonly():
     idx = small_index()
-    assert idx.rows.dtype == np.float32
-    norms = np.linalg.norm(idx.rows.astype(np.float64), axis=1)
-    assert np.max(np.abs(norms - 1.0)) <= 1e-6
+    assert idx.rows.dtype == np.float64
+    assert idx.rows[2].tolist() == [1.0, 1.0, 0.0]
     with pytest.raises(ValueError):
         idx.rows[0, 0] = 5.0
+
+
+def test_index_over_writable_array_ignores_later_writes():
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    idx = CategoryIndex("hat", ["a", "b"], rows)
+    rows[0] = [0.0, 1.0]
+    rows[1] = [1.0, 0.0]
+    assert idx.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert [h.asset_id for h in idx.search([1.0, 0.1], k=2)] == ["a", "b"]
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([0.0, 0.0], ZeroVectorError),
+    ([np.nan, 1.0], NonFiniteVectorError),
+    ([np.inf, 1.0], NonFiniteVectorError),
+    ([1e200, 1e200], NonFiniteVectorError),  # the norm overflows
+], ids=["zero", "nan", "inf", "overflow"])
+def test_constructor_rejects_rows_without_finite_nonzero_norm(bad, error):
+    with pytest.raises(error):
+        CategoryIndex("hat", ["a", "b"], np.array([[1.0, 0.0], bad]))
 
 
 def test_search_hit_is_plain_record():
@@ -186,8 +210,8 @@ def test_snapshot_round_trip_bit_identical(tmp_path, rng):
     catalog, index_dir, sources = saved_index(tmp_path, rows, {"a001": "b1", "s0": "b2"})
     loaded = load_index_dir(index_dir, TAXONOMY, sources)
     assert_same_catalog(catalog, loaded)
-    idx = CategoryIndex("hat", *catalog.embedding_matrix("hat"))
-    reloaded = CategoryIndex("hat", *loaded.embedding_matrix("hat"))
+    idx = catalog.index("hat")
+    reloaded = loaded.index("hat")
     assert reloaded.rows.tobytes() == idx.rows.tobytes()
     for _ in range(20):
         q = rng.standard_normal(d)
@@ -204,7 +228,7 @@ def test_snapshot_empty_index_round_trip(tmp_path, rng):
     catalog, index_dir, sources = saved_index(tmp_path, rows)
     loaded = load_index_dir(index_dir, TAXONOMY, sources)
     assert_same_catalog(catalog, loaded)
-    shoe = CategoryIndex("shoe", *loaded.embedding_matrix("shoe"))
+    shoe = loaded.index("shoe")
     assert shoe.size == 0 and shoe.dim == 7
     catalog, index_dir, sources = saved_index(tmp_path, {})
     loaded = load_index_dir(index_dir, TAXONOMY, sources)

@@ -10,7 +10,13 @@ import pytest
 from lookforge.assembly import Edit, VerificationReport
 from lookforge.cli import ENV_JUDGE_URL, build_judge, effective_judge_spec
 from lookforge.errors import JudgeUnavailableError
-from lookforge.judge import PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
+from lookforge.judge import (
+    PASS_SCRIPT,
+    RETRY_PAUSE_S,
+    HttpSource,
+    JudgeClient,
+    ScriptedSource,
+)
 from lookforge.retrieval import Candidate
 
 
@@ -171,6 +177,14 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+@pytest.fixture(autouse=True)
+def pauses(monkeypatch):
+    """Records each retry pause instead of sleeping."""
+    recorded: list[float] = []
+    monkeypatch.setattr("lookforge.judge.time.sleep", recorded.append)
+    return recorded
+
+
 @pytest.fixture
 def http_judge_url():
     _Handler.seen = []
@@ -207,6 +221,20 @@ def test_http_source_retries_once(http_judge_url):
         _Handler.seen, _Handler.answers = [], [first]
         assert judge.verify({})["verdict"] == "pass"
         assert len(_Handler.seen) == 2
+
+
+@pytest.mark.parametrize("first, want", [
+    (500, [RETRY_PAUSE_S]), ("drop", [RETRY_PAUSE_S]), (400, []),
+], ids=["server_error", "dropped_connection", "client_error"])
+def test_http_source_pauses_before_its_retry(http_judge_url, pauses, first, want):
+    _Handler.answers = [first]
+    src = HttpSource(http_judge_url, timeout=5.0)
+    if first == 400:
+        with pytest.raises(JudgeUnavailableError):
+            src.request("verify", {})
+    else:
+        assert src.request("verify", {})["verdict"] == "pass"
+    assert pauses == want
 
 
 @pytest.mark.parametrize("answers, requests", [

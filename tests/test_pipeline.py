@@ -8,10 +8,16 @@ import pytest
 
 import lookforge
 
-from lookforge.catalog import Taxonomy, save_taxonomy, write_doc
+from lookforge.catalog import (
+    MANIFEST_FILE,
+    Taxonomy,
+    load_index_dir,
+    save_index_dir,
+    save_taxonomy,
+    write_doc,
+)
 from lookforge.errors import UnknownCategoryError
 from lookforge.evidence import EvidenceStore, PartEvidence
-from lookforge.index import MANIFEST_FILE, load_index_dir, save_index_dir
 from lookforge.judge import PASS_SCRIPT, JudgeClient, ScriptedSource
 from lookforge.pipeline import run_pipeline, run_retrieval
 from lookforge.retrieval import RetrievalConfig

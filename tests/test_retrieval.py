@@ -243,8 +243,25 @@ def test_pools_document_round_trip():
     "entry, detail",
     [({"asset_id": "l1", "score": 0.5, "source": "part"}, " has no key 'bundle_id'"),
      ({"asset_id": "l1", "score": 0.5, "source": "part", "bundle_id": 5},
-      ": bundle_id must be a string or null")],
-    ids=["missing", "number"],
+      ": bundle_id must be a string or null"),
+     ({"asset_id": None, "score": 0.5, "source": "part", "bundle_id": None},
+      ": asset_id must be a non-empty string"),
+     ({"asset_id": ["a"], "score": 0.5, "source": "part", "bundle_id": None},
+      ": asset_id must be a non-empty string"),
+     ({"asset_id": "", "score": 0.5, "source": "part", "bundle_id": None},
+      ": asset_id must be a non-empty string"),
+     ({"asset_id": "l1", "score": 0.5, "source": 7, "bundle_id": None}, ": source must be"),
+     ({"asset_id": "l1", "score": 0.5, "source": "text", "bundle_id": None}, ": source must be"),
+     ({"asset_id": "l1", "score": True, "source": "part", "bundle_id": None},
+      ": score must be a finite number"),
+     ({"asset_id": "l1", "score": "0.5", "source": "part", "bundle_id": None},
+      ": score must be a finite number"),
+     ({"asset_id": "l1", "score": float("nan"), "source": "part", "bundle_id": None},
+      ": score must be a finite number"),
+     ({"asset_id": "l1", "score": 10**400, "source": "part", "bundle_id": None},
+      ": int too large to convert to float")],
+    ids=["missing", "number", "null_asset", "list_asset", "empty_asset", "number_source",
+         "unknown_source", "bool_score", "string_score", "nan_score", "huge_score"],
 )
 def test_pools_document_names_bad_entry(entry, detail):
     legs = CategoryRetrieval("legs", [cand("l0", 0.75, "part")], False, False, "front")

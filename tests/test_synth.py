@@ -158,8 +158,7 @@ class TestBruteForce:
 
     def test_catalog_rank_matches_index(self, rng):
         catalog, _ = generate_catalog(small_spec(seed=13))
-        ids, rows = catalog.embedding_matrix("hat")
-        index = CategoryIndex("hat", ids, rows)
+        index = catalog.index("hat")
         q = rng.standard_normal(16)
         for k in (1, 3, 10, 99):
             hits = index.search(q, k=k)
@@ -235,8 +234,7 @@ class TestInterferenceScenario:
         scn = generate_interference_scenario(spec)
         truth = scn.truth
         cfg = RetrievalConfig()
-        ids, rows = scn.catalog.embedding_matrix(truth.target_category)
-        index = CategoryIndex(truth.target_category, ids, rows)
+        index = scn.catalog.index(truth.target_category)
 
         suppressed, collapsed = retrieve_concept_residual(
             index, truth.g, truth.t_c, scn.subspaces, cfg
@@ -258,8 +256,7 @@ class TestInterferenceScenario:
         ), seed=2)
         scn = generate_interference_scenario(spec, lam=0.0)
         truth = scn.truth
-        ids, rows = scn.catalog.embedding_matrix(truth.target_category)
-        index = CategoryIndex(truth.target_category, ids, rows)
+        index = scn.catalog.index(truth.target_category)
         plain, _ = retrieve_concept_residual(
             index, truth.g, truth.t_c, {}, RetrievalConfig()
         )

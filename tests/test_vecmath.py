@@ -17,7 +17,6 @@ from lookforge.errors import (
 )
 from lookforge.vecmath import (
     SubspaceParams,
-    canonical_rows,
     compute_category_subspace,
     fuse,
     normalize,
@@ -73,20 +72,6 @@ def test_normalize_is_unit_norm(v):
 @given(finite_vectors, st.floats(min_value=1e-3, max_value=1e3))
 def test_normalize_scale_invariant(v, c):
     assert np.allclose(normalize(v), normalize(c * v), atol=1e-9)
-
-
-# --- canonical rows ----------------------------------------------------------
-
-
-def test_canonical_rows_float32_unit():
-    rows = canonical_rows(np.array([[3.0, 4.0], [0.0, 2.0]]))
-    assert rows.dtype == np.float32
-    assert np.allclose(rows, [[0.6, 0.8], [0.0, 1.0]], atol=1e-6)
-
-
-def test_canonical_rows_zero_row_raises():
-    with pytest.raises(ZeroVectorError):
-        canonical_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 # --- subspaces ---------------------------------------------------------------
