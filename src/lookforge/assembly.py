@@ -50,8 +50,8 @@ class GenerationBudget:
 
     def __post_init__(self) -> None:
         for name, v in asdict(self).items():
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
 

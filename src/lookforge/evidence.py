@@ -30,14 +30,12 @@ class PartEvidence:
     """Evidence for one category's part.
 
     ``valid`` and ``fallback_keyword`` statuses require an embedding;
-    ``failed`` must carry none. ``source_view`` names the view the crop
-    came from, when there was one.
+    ``failed`` must carry none.
     """
 
     category_id: str
     status: str
     embedding: np.ndarray | None = None
-    source_view: str | None = None
 
     def __post_init__(self) -> None:
         if self.status not in PART_STATUSES:
@@ -48,8 +46,6 @@ class PartEvidence:
         else:
             if self.embedding is None:
                 raise ValueError(f"{self.status} part evidence requires an embedding")
-        if self.source_view is not None and self.source_view not in VIEWS:
-            raise ValueError(f"unknown view {self.source_view!r}")
 
     @property
     def usable(self) -> bool:
@@ -59,8 +55,7 @@ class PartEvidence:
 class EvidenceStore:
     """Evidence for one prompt: view globals, parts, and text priors."""
 
-    def __init__(self, prompt_text: str = "") -> None:
-        self.prompt_text = prompt_text
+    def __init__(self) -> None:
         self._views: dict[str, np.ndarray] = {}
         self._parts: dict[str, PartEvidence] = {}
         self._text_priors: dict[str, np.ndarray] = {}
@@ -85,7 +80,6 @@ class EvidenceStore:
                 category_id=part.category_id,
                 status=part.status,
                 embedding=self._check_dim(part.embedding),
-                source_view=part.source_view,
             )
         self._parts[part.category_id] = part
 
@@ -121,25 +115,26 @@ class EvidenceStore:
         return dict(self._text_priors)
 
 
-def select_views(
+def select_view(
     category_id: str,
     store: EvidenceStore,
     taxonomy: Taxonomy,
-) -> tuple[list[str], str | None]:
-    """Views to read global evidence from, most preferred first.
+) -> tuple[str, str | None]:
+    """The one view to read global evidence from, and any warning.
 
-    Uses the taxonomy's per-category preference when any preferred view is
-    available; otherwise falls back to the default front/back/left/right
-    order, with a warning when a stated preference went unmet. Raises
-    :class:`NoViewsAvailableError` when the store has no views at all.
+    Takes the first view of the taxonomy's per-category preference that
+    the store has; otherwise the first available view in the default
+    front/back/left/right order, with a warning when a stated preference
+    went unmet. Raises :class:`NoViewsAvailableError` when the store has
+    no views at all.
     """
     available = store.available_views
     if not available:
         raise NoViewsAvailableError("evidence store has no rendered views")
     preference = taxonomy.view_map.get(category_id, ())
-    chosen = [v for v in preference if v in available]
-    if chosen:
-        return chosen, None
+    for view in preference:
+        if view in available:
+            return view, None
     warning = None
     if preference:
         warning = (
@@ -147,7 +142,7 @@ def select_views(
             f"(wanted {list(preference)}); falling back to default order"
         )
         logger.warning("%s", warning)
-    return list(available), warning
+    return available[0], warning
 
 
 def resolve_part_or_global(category_id: str, store: EvidenceStore) -> np.ndarray | None:
@@ -167,14 +162,12 @@ def resolve_part_or_global(category_id: str, store: EvidenceStore) -> np.ndarray
 def save_evidence(store: EvidenceStore, path: str | Path) -> None:
     doc = {
         "schema_version": EVIDENCE_SCHEMA_VERSION,
-        "prompt_text": store.prompt_text,
         "views": {v: [float(x) for x in store.view_embedding(v)]
                   for v in store.available_views},
         "parts": [
             {
                 "category_id": p.category_id,
                 "status": p.status,
-                "source_view": p.source_view,
                 "embedding": None
                 if p.embedding is None
                 else [float(x) for x in p.embedding],
@@ -189,11 +182,14 @@ def save_evidence(store: EvidenceStore, path: str | Path) -> None:
 
 
 def load_evidence(path: str | Path) -> EvidenceStore:
+    """Read an evidence file. Keys the format does not define, such as the
+    ``prompt_text`` and per-part ``source_view`` that older files carry, are
+    ignored."""
     doc = read_doc(path)
     version = doc.get("schema_version", EVIDENCE_SCHEMA_VERSION)
     if version != EVIDENCE_SCHEMA_VERSION:
         raise ValueError(f"unsupported evidence schema version {version!r}")
-    store = EvidenceStore(prompt_text=str(doc.get("prompt_text", "")))
+    store = EvidenceStore()
     for view, emb in doc.get("views", {}).items():
         store.add_view(view, emb)
     for entry in doc.get("parts", []):
@@ -203,7 +199,6 @@ def load_evidence(path: str | Path) -> EvidenceStore:
                 category_id=entry["category_id"],
                 status=entry["status"],
                 embedding=None if emb is None else np.asarray(emb, dtype=np.float64),
-                source_view=entry.get("source_view"),
             )
         )
     for cid, emb in doc.get("text_priors", {}).items():

@@ -131,7 +131,7 @@ class JudgeClient:
     #   verify         {"verdict": "pass"} or
     #                  {"verdict": "fail", "issues": [...], "edits": [...]}
     #   compare_batch  {"winner": index} or {"winner": "max_look_id"}
-    #   advise         {"add_categories": [...], "query_rewrites": {...}}
+    #   advise         {"add_categories": [category ids]}
 
     def filter_grid(self, category_id: str, candidates) -> list[str]:
         payload = {

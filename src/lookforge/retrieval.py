@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .catalog import AssetCatalog, Taxonomy
-from .evidence import EvidenceStore, resolve_part_or_global, select_views
+from .evidence import EvidenceStore, resolve_part_or_global, select_view
 from .index import CategoryIndex, SearchHit
 from .vecmath import fuse, normalize, suppress
 
@@ -53,8 +53,8 @@ class RetrievalConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {w}")
         for name in ("branch_k", "pool_k", "gate_k"):
             k = getattr(self, name)
-            if k < 1:
-                raise ValueError(f"{name} must be >= 1, got {k}")
+            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {k!r}")
         if self.gate_k > self.pool_k:
             raise ValueError(
                 f"gate_k ({self.gate_k}) cannot exceed pool_k ({self.pool_k})"
@@ -232,10 +232,9 @@ def retrieve_category(
     if part_embedding is not None:
         part_candidates = retrieve_part(index, part_embedding, t_c, cfg)
 
-    views, view_warning = select_views(category_id, store, taxonomy)
+    source_view, view_warning = select_view(category_id, store, taxonomy)
     if view_warning:
         warnings.append(view_warning)
-    source_view = views[0]
     g = store.view_embedding(source_view)
     residual_candidates, collapsed = retrieve_concept_residual(
         index, g, t_c, subspaces, cfg

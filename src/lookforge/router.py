@@ -1,4 +1,4 @@
-"""Prompt routing: concepts to categories, exclusions, query templates.
+"""Prompt routing: concepts to categories, exclusions, required core.
 
 Routing is recall-first. Every category a concept could denote enters the
 target set, and the exclusion step then removes contradictions using
@@ -17,9 +17,6 @@ from .errors import JudgeUnavailableError
 logger = logging.getLogger(__name__)
 
 PROMPT_SCHEMA_VERSION = 1
-
-# Words in the prompt fallback query when no concept covers a category.
-FALLBACK_QUERY_WORDS = 12
 
 # Modifier keyword support per category. A category "supports" a modifier
 # when the modifier (or any of its hyphen/space tokens) appears in its set;
@@ -108,7 +105,7 @@ class ExclusionResolution:
 
 @dataclass
 class RoutingPlan:
-    """Where to search and with what query text.
+    """Which categories to search, and why.
 
     ``provenance`` explains why each category is targeted:
     ``concept-expanded`` (a prompt concept maps there), ``required-core``
@@ -116,7 +113,6 @@ class RoutingPlan:
     """
 
     target_categories: tuple[str, ...]
-    queries: dict[str, str]
     provenance: dict[str, str]
     resolved_exclusions: list[ExclusionResolution] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -124,7 +120,6 @@ class RoutingPlan:
     def to_dict(self) -> dict:
         return {
             "target_categories": list(self.target_categories),
-            "queries": dict(sorted(self.queries.items())),
             "provenance": dict(sorted(self.provenance.items())),
             "resolved_exclusions": [
                 {
@@ -144,7 +139,6 @@ class RoutingPlan:
             raise ValueError("routing plan needs a 'target_categories' list; re-run route")
         return cls(
             target_categories=tuple(doc["target_categories"]),
-            queries={str(k): str(v) for k, v in doc.get("queries", {}).items()},
             provenance={str(k): str(v) for k, v in doc.get("provenance", {}).items()},
             resolved_exclusions=[
                 ExclusionResolution(
@@ -204,16 +198,6 @@ def modifier_support(category_id: str, modifiers: tuple[str, ...],
     return count
 
 
-def _fallback_query(text: str, category_id: str) -> str:
-    head = " ".join(text.split()[:FALLBACK_QUERY_WORDS])
-    return f"{head}, {category_id}" if head else category_id
-
-
-def build_query(concept: Concept, category_id: str) -> str:
-    """Query template: noun, modifiers in order, then the category name."""
-    return ", ".join([concept.noun, *concept.modifiers, category_id])
-
-
 def route(
     spec: PromptSpec,
     taxonomy: Taxonomy,
@@ -225,9 +209,8 @@ def route(
     Expansion adds every category each concept may denote; required-core
     categories are always present; exclusion groups are then resolved by
     modifier support (ties to the lower category id). An advisor, when
-    given, may add categories or rewrite queries subject to the same
-    taxonomy and exclusion constraints; advisor failure degrades to a
-    warning.
+    given, may add categories subject to the same taxonomy and exclusion
+    constraints; advisor failure degrades to a warning.
     """
     warnings: list[str] = []
     provenance: dict[str, str] = {}
@@ -283,66 +266,45 @@ def route(
                                 reason=reason)
         )
 
-    queries: dict[str, str] = {}
-    for cid in sorted(targets):
-        concepts = sources.get(cid, [])
-        if concepts:
-            queries[cid] = build_query(concepts[0], cid)
-        else:
-            queries[cid] = _fallback_query(spec.text, cid)
-
     plan = RoutingPlan(
         target_categories=tuple(sorted(targets)),
-        queries=queries,
         provenance={c: provenance[c] for c in sorted(targets)},
         resolved_exclusions=resolutions,
         warnings=warnings,
     )
 
     if advisor is not None:
-        _apply_advisor(plan, spec, taxonomy, advisor)
+        _apply_advisor(plan, spec.text, taxonomy, advisor)
     return plan
 
 
-def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advisor) -> None:
+def _apply_advisor(plan: RoutingPlan, text: str, taxonomy: Taxonomy, advisor) -> None:
     """Merge the advisor's answer into the plan; the one place that reads it.
 
-    An answer whose ``add_categories`` is not a list or whose
-    ``query_rewrites`` is not an object leaves the plan as routed. An
-    entry that does not parse (a ``category_id`` that is not a string, a
-    ``query`` that is neither a string nor null), a rewrite that is not a
-    string, and a suggestion the taxonomy or an exclusion group rules out
-    are skipped. Every rejection adds a warning.
+    An answer whose ``add_categories`` is not a list leaves the plan as
+    routed. An entry that is not a category id string, and a suggestion
+    the taxonomy or an exclusion group rules out, are skipped. Every
+    rejection adds a warning.
     """
     try:
         suggestion = advisor.advise(
-            {
-                "text": spec.text,
-                "target_categories": list(plan.target_categories),
-                "queries": dict(plan.queries),
-            }
+            {"text": text, "target_categories": list(plan.target_categories)}
         )
     except JudgeUnavailableError as exc:
         plan.warnings.append(f"advisor unavailable: {exc}")
         logger.warning("advisor unavailable: %s", exc)
         return
     additions = suggestion.get("add_categories", [])
-    rewrites = suggestion.get("query_rewrites", {})
-    if not isinstance(additions, list) or not isinstance(rewrites, dict):
+    if not isinstance(additions, list):
         plan.warnings.append(
-            "advisor answer ignored: add_categories must be a list and "
-            f"query_rewrites an object, got {suggestion!r}"
+            f"advisor answer ignored: add_categories must be a list, got {suggestion!r}"
         )
         return
 
     targets = set(plan.target_categories)
-    for entry in additions:
-        if isinstance(entry, str):
-            entry = {"category_id": entry}
-        fields = entry if isinstance(entry, dict) else {}
-        cid, query = fields.get("category_id"), fields.get("query")
-        if not isinstance(cid, str) or not isinstance(query, (str, type(None))):
-            plan.warnings.append(f"advisor suggestion {entry!r} skipped: malformed")
+    for cid in additions:
+        if not isinstance(cid, str):
+            plan.warnings.append(f"advisor suggestion {cid!r} skipped: malformed")
             continue
         if cid in targets:
             continue
@@ -356,20 +318,9 @@ def _apply_advisor(plan: RoutingPlan, spec: PromptSpec, taxonomy: Taxonomy, advi
             continue
         targets.add(cid)
         plan.provenance[cid] = "advisor-added"
-        plan.queries[cid] = query or _fallback_query(spec.text, cid)
-
-    for cid, query in rewrites.items():
-        if cid not in targets:
-            plan.warnings.append(f"advisor rewrite for untargeted category {cid!r}")
-            continue
-        if not isinstance(query, str):
-            plan.warnings.append(f"advisor rewrite {query!r} for {cid!r} skipped: not a string")
-            continue
-        plan.queries[cid] = query
 
     plan.target_categories = tuple(sorted(targets))
     plan.provenance = {c: plan.provenance[c] for c in plan.target_categories}
-    plan.queries = {c: plan.queries[c] for c in plan.target_categories}
 
 
 def route_naive(spec: PromptSpec, taxonomy: Taxonomy) -> RoutingPlan:

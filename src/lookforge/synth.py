@@ -364,7 +364,7 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
         left_noise = rng.standard_normal(spec.d)
         g_left = normalize(g_front + 0.05 * left_noise / np.linalg.norm(left_noise))
 
-        store = EvidenceStore(prompt_text=PIPELINE_PROMPT_TEXT)
+        store = EvidenceStore()
         store.add_view("front", g_front)
         store.add_view("left", g_left)
         for cid in taxonomy.categories:
@@ -377,7 +377,6 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
                 category_id="pants",
                 status="valid",
                 embedding=normalize(embeddings["pants"] + part_noise),
-                source_view="front",
             )
         )
         store.add_part(PartEvidence(category_id="jacket", status="failed"))

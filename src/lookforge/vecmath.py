@@ -66,6 +66,15 @@ class SubspaceParams:
     max_rank: int = 16
     center: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("max_rank",) if self.rank is None else ("rank", "max_rank"):
+            r = getattr(self, name)
+            if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {r!r}")
+        t = self.variance_threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t <= 1.0:
+            raise ValueError(f"variance_threshold must lie in (0, 1], got {t!r}")
+
 
 def compute_category_subspace(
     category_id: str,
@@ -96,8 +105,6 @@ def compute_category_subspace(
     _, s, vt = np.linalg.svd(m, full_matrices=False)
 
     if params.rank is not None:
-        if params.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {params.rank}")
         r = min(params.rank, n, d)
     else:
         energy = s**2

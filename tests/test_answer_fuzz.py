@@ -110,15 +110,8 @@ judge_scripts = st.fixed_dictionaries({
 advisor_answers = answers(
     st.fixed_dictionaries({}, optional={
         "add_categories": st.lists(
-            category
-            | st.fixed_dictionaries({"category_id": category},
-                                    optional={"query": mostly(st.text(max_size=3))}),
-            max_size=3,
+            category | st.fixed_dictionaries({"category_id": category}), max_size=3,
         ) | not_a_list,
-        "query_rewrites": st.dictionaries(
-            st.sampled_from(CATEGORIES) | st.text(max_size=3),
-            mostly(st.text(max_size=3)), max_size=3,
-        ) | scalar | st.lists(junk, max_size=2),
     }),
 )
 
@@ -150,7 +143,6 @@ def test_run_assembly_degrades_or_raises_unavailable(script):
 def test_route_survives_any_advisor_answer(queue):
     plan = route(PROMPT, TAXONOMY, advisor=JudgeClient(ScriptedSource({"advise": queue})))
     assert set(plan.target_categories) <= set(TAXONOMY.categories)
-    assert list(plan.queries) == list(plan.target_categories)
-    assert all(isinstance(q, str) for q in plan.queries.values())
+    assert list(plan.provenance) == list(plan.target_categories)
     for group in TAXONOMY.exclusion_groups:
         assert sum(cat in plan.target_categories for cat in group) <= 1

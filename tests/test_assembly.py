@@ -46,6 +46,9 @@ def test_budget_validation():
         GenerationBudget(batch_size=0)
     with pytest.raises(ValueError):
         GenerationBudget(batch_size=1)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="n_candidates must be an integer"):
+            GenerationBudget(n_candidates=bad)
 
 
 def test_edit_validation():

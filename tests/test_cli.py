@@ -139,6 +139,25 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             load_run_config(p)
 
+    @pytest.mark.parametrize("section, field, bad", [
+        ("subspace", "max_rank", -1),
+        ("subspace", "variance_threshold", 0),
+        ("retrieval", "branch_k", 2.5),
+        ("budget", "per_asset_cap", True),
+    ])
+    def test_section_value_it_cannot_run_is_invalid_value(
+        self, tmp_path, capsys, section, field, bad
+    ):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({
+            "paths": {"catalog": "a", "taxonomy": "b"},
+            section: {field: bad},
+        }))
+        assert main(["route", "--config", str(p)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "route.InvalidValue"
+        assert field in err["message"]
+
     def test_unknown_section_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({
@@ -374,6 +393,28 @@ class TestStageCommands:
         assert err["error"]["message"].startswith(
             f"pools.json category 'body': pool entry 0: {key} must be"
         )
+
+    def test_retrieve_reads_documents_with_retired_keys(self, demo, tmp_path, capsys):
+        # evidence as perfbench/gen.py writes it (prompt_text, and a part
+        # source_view, null for a failed part) and a plan that still carries
+        # query strings: both load, and the pools do not change
+        root = tmp_path / "retired-keys"
+        shutil.copytree(demo, root)
+        evidence = json.loads((root / "evidence.json").read_text())
+        evidence["prompt_text"] = "an explorer"
+        for part in evidence["parts"]:
+            part["source_view"] = "front" if part["embedding"] is not None else None
+        assert {p["source_view"] for p in evidence["parts"]} == {"front", None}
+        (root / "evidence.json").write_text(json.dumps(evidence))
+        plan_path = root / "output" / "plan.json"
+        plan = json.loads(plan_path.read_text())
+        plan["plan"]["queries"] = {c: f"{c} query" for c in plan["plan"]["target_categories"]}
+        plan_path.write_text(json.dumps(plan))
+        (root / "output" / "pools.json").unlink()
+        assert main(["retrieve", "--config", str(root / "config.json")]) == 0
+        assert (root / "output" / "pools.json").read_bytes() == (
+            demo / "output" / "pools.json"
+        ).read_bytes()
 
     def test_retrieve_before_route_fails_cleanly(self, tmp_path, capsys):
         root = tmp_path / "fresh"

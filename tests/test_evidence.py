@@ -15,7 +15,7 @@ from lookforge.evidence import (
     load_evidence,
     resolve_part_or_global,
     save_evidence,
-    select_views,
+    select_view,
 )
 
 
@@ -28,7 +28,7 @@ def make_taxonomy(view_map=None) -> Taxonomy:
 
 
 def make_store() -> EvidenceStore:
-    store = EvidenceStore(prompt_text="a ranger")
+    store = EvidenceStore()
     store.add_view("front", [1.0, 0.0, 0.0])
     store.add_view("left", [0.0, 1.0, 0.0])
     store.add_text_prior("hat", [0.0, 0.0, 1.0])
@@ -36,7 +36,7 @@ def make_store() -> EvidenceStore:
 
 
 def test_part_evidence_status_consistency():
-    PartEvidence("hat", "valid", np.array([1.0, 0.0]), "front")
+    PartEvidence("hat", "valid", np.array([1.0, 0.0]))
     PartEvidence("hat", "fallback_keyword", np.array([1.0, 0.0]))
     PartEvidence("hat", "failed")
     with pytest.raises(ValueError):
@@ -45,8 +45,6 @@ def test_part_evidence_status_consistency():
         PartEvidence("hat", "valid")
     with pytest.raises(ValueError):
         PartEvidence("hat", "maybe", np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        PartEvidence("hat", "valid", np.array([1.0, 0.0]), source_view="top")
 
 
 def test_store_tracks_views_in_canonical_order():
@@ -76,36 +74,36 @@ def test_text_prior_missing_raises():
 
 
 def test_select_views_prefers_view_map():
-    store = make_store()
-    tax = make_taxonomy(view_map={"hat": ("left", "back")})
-    views, warning = select_views("hat", store, tax)
-    assert views == ["left"]
+    store = make_store()  # has front, left
+    tax = make_taxonomy(view_map={"hat": ("back", "left", "front")})
+    view, warning = select_view("hat", store, tax)
+    assert view == "left"  # the first preferred view the store has
     assert warning is None
 
 
 def test_select_views_falls_back_with_warning():
     store = make_store()  # has front, left
     tax = make_taxonomy(view_map={"hat": ("back",)})
-    views, warning = select_views("hat", store, tax)
-    assert views == ["front", "left"]
+    view, warning = select_view("hat", store, tax)
+    assert view == "front"
     assert warning is not None and "falling back" in warning
 
 
 def test_select_views_no_preference_no_warning():
     store = make_store()
-    views, warning = select_views("pants", store, make_taxonomy())
-    assert views == ["front", "left"]
+    view, warning = select_view("pants", store, make_taxonomy())
+    assert view == "front"
     assert warning is None
 
 
 def test_select_views_empty_store_raises():
     with pytest.raises(NoViewsAvailableError):
-        select_views("hat", EvidenceStore(), make_taxonomy())
+        select_view("hat", EvidenceStore(), make_taxonomy())
 
 
 def test_resolve_part_statuses():
     store = make_store()
-    store.add_part(PartEvidence("hat", "valid", np.array([1.0, 1.0, 0.0]), "front"))
+    store.add_part(PartEvidence("hat", "valid", np.array([1.0, 1.0, 0.0])))
     store.add_part(PartEvidence("pants", "failed"))
 
     assert np.allclose(resolve_part_or_global("hat", store), [1.0, 1.0, 0.0])
@@ -121,12 +119,11 @@ def test_resolve_fallback_keyword_counts_as_part():
 
 def test_evidence_file_round_trip(tmp_path):
     store = make_store()
-    store.add_part(PartEvidence("hat", "valid", np.array([1.0, 2.0, 3.0]), "front"))
+    store.add_part(PartEvidence("hat", "valid", np.array([1.0, 2.0, 3.0])))
     store.add_part(PartEvidence("pants", "failed"))
     path = tmp_path / "evidence.json"
     save_evidence(store, path)
     loaded = load_evidence(path)
-    assert loaded.prompt_text == "a ranger"
     assert loaded.available_views == ("front", "left")
     assert np.allclose(loaded.view_embedding("front"), [1.0, 0.0, 0.0])
     assert loaded.part("hat").status == "valid"

@@ -190,7 +190,10 @@ def http_judge_url():
     _Handler.seen = []
     _Handler.answers = []
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll; the default 0.5 s would dominate each test
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/judge"
     server.shutdown()

@@ -47,7 +47,7 @@ def scenario():
     v = normalize(bases["legs"] @ rng.standard_normal(3))
     g = normalize(hat_rows[4] + 1.2 * v)
 
-    store = EvidenceStore(prompt_text="a scout in a cap and pants")
+    store = EvidenceStore()
     store.add_view("front", g)
     for cid in ("hat", "legs"):
         _, rows = catalog.embedding_matrix(cid)
@@ -153,8 +153,8 @@ store.add_view("front", normalize(np.sum(picks, axis=0)))
 for c in cats:
     store.add_text_prior(c, normalize(catalog.embedding_matrix(c)[1].mean(axis=0)))
 part = normalize(picks[0] + 0.1 * rng.standard_normal(128))
-store.add_part(PartEvidence("c0", "valid", part, "front"))
-plan = RoutingPlan(cats, {}, {})
+store.add_part(PartEvidence("c0", "valid", part))
+plan = RoutingPlan(cats, {})
 pools = run_retrieval(plan, catalog, store, catalog.taxonomy, RetrievalConfig())
 print(json.dumps(pools_to_dict(pools), sort_keys=True))
 """

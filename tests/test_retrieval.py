@@ -35,6 +35,10 @@ def test_config_defaults_and_validation():
         RetrievalConfig(beta=-0.1)
     with pytest.raises(ValueError):
         RetrievalConfig(branch_k=0)
+    # a count that is not an int would fail later, as a slice bound
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="branch_k must be an integer"):
+            RetrievalConfig(branch_k=bad)
     with pytest.raises(ValueError):
         RetrievalConfig(gate_k=50, pool_k=40)
 
@@ -191,13 +195,11 @@ def category_fixture(with_part: bool):
     rows = np.array([[1.0, 0.0, 0.0, 0.0], [0.3, 0.954, 0.0, 0.0]])
     # "legs" stays empty; only the target "tg" is in a bundle
     catalog = AssetCatalog(tax, {"top": (["tg", "dk"], rows)}, {"tg": "bnd-1"})
-    store = EvidenceStore(prompt_text="x")
+    store = EvidenceStore()
     store.add_view("front", normalize([1.0, 1.5, 0.0, 0.0]))
     store.add_text_prior("top", [1.0, 0.0, 0.0, 0.0])
     if with_part:
-        store.add_part(
-            PartEvidence("top", "valid", np.array([0.98, 0.05, 0.0, 0.0]), "front")
-        )
+        store.add_part(PartEvidence("top", "valid", np.array([0.98, 0.05, 0.0, 0.0])))
     return catalog, store, tax, {"legs": np.eye(4)[:, 1:2]}
 
 

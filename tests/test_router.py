@@ -8,7 +8,6 @@ from lookforge.router import (
     Concept,
     PromptSpec,
     RoutingPlan,
-    build_query,
     load_prompt,
     match_concept_key,
     modifier_support,
@@ -31,11 +30,6 @@ def make_taxonomy() -> Taxonomy:
         view_map={},
         required_core=("body",),
     )
-
-
-def test_golden_query_template():
-    concept = Concept("cargo pants", ("olive", "tactical"))
-    assert build_query(concept, "pants") == "cargo pants, olive, tactical, pants"
 
 
 def test_match_longest_key_wins():
@@ -73,7 +67,6 @@ def test_route_expands_ambiguous_concept_and_resolves_by_modifiers():
     assert res.kept == "jacket"
     assert res.dropped == ("sweater",)
     assert "modifier support 1" in res.reason
-    assert plan.queries["jacket"] == "hoodie, zip-up, black, jacket"
 
 
 def test_route_exclusion_tie_breaks_to_lower_category_id():
@@ -94,34 +87,11 @@ def test_route_knit_modifier_keeps_sweater():
     assert "jacket" not in plan.target_categories
 
 
-def test_route_required_core_fallback_query():
-    words = " ".join(f"w{i}" for i in range(20))
-    spec = PromptSpec(text=words, concepts=())
-    plan = route(spec, make_taxonomy())
-    assert plan.target_categories == ("body",)
-    expected_head = " ".join(f"w{i}" for i in range(12))
-    assert plan.queries["body"] == f"{expected_head}, body"
-
-
-def test_route_empty_prompt_text_fallback():
-    plan = route(PromptSpec(text="", concepts=()), make_taxonomy())
-    assert plan.queries["body"] == "body"
-
-
 def test_route_unmatched_concept_warns():
     spec = PromptSpec(text="x", concepts=(Concept("jetpack"),))
     plan = route(spec, make_taxonomy())
     assert any("jetpack" in w for w in plan.warnings)
     assert plan.target_categories == ("body",)
-
-
-def test_route_first_concept_provides_query():
-    spec = PromptSpec(
-        text="x",
-        concepts=(Concept("cargo pants", ("olive",)), Concept("pants", ("denim",))),
-    )
-    plan = route(spec, make_taxonomy())
-    assert plan.queries["pants"] == "cargo pants, olive, pants"
 
 
 class FakeAdvisor:
@@ -137,61 +107,43 @@ class FakeAdvisor:
         return self.suggestion
 
 
-def test_advisor_adds_and_rewrites():
+def test_advisor_adds_categories():
     spec = PromptSpec(text="a ranger", concepts=())
-    advisor = FakeAdvisor(
-        {
-            "add_categories": [
-                {"category_id": "hat", "query": "ranger hat, hat"},
-                "pants",
-            ],
-            "query_rewrites": {"body": "ranger physique, body"},
-        }
-    )
+    advisor = FakeAdvisor({"add_categories": ["pants", "hat"]})
     plan = route(spec, make_taxonomy(), advisor=advisor)
     assert plan.target_categories == ("body", "hat", "pants")
-    assert plan.provenance["hat"] == "advisor-added"
-    assert plan.queries["hat"] == "ranger hat, hat"
-    assert plan.queries["pants"] == "a ranger, pants"
-    assert plan.queries["body"] == "ranger physique, body"
-    assert advisor.payloads[0]["target_categories"] == ["body"]
+    assert plan.provenance == {
+        "body": "required-core", "hat": "advisor-added", "pants": "advisor-added",
+    }
+    assert advisor.payloads == [{"text": "a ranger", "target_categories": ["body"]}]
 
 
 def test_advisor_suggestions_are_constraint_checked():
     spec = PromptSpec(
         text="zip hoodie", concepts=(Concept("hoodie", ("zip",)),)
     )
-    advisor = FakeAdvisor(
-        {
-            "add_categories": ["sweater", "wings"],
-            "query_rewrites": {"hat": "ignored"},
-        }
-    )
+    advisor = FakeAdvisor({"add_categories": ["sweater", "wings"]})
     plan = route(spec, make_taxonomy(), advisor=advisor)
-    # sweater conflicts with the kept jacket, wings is unknown, hat untargeted
+    # sweater conflicts with the kept jacket, wings is unknown
     assert "sweater" not in plan.target_categories
     assert "wings" not in plan.target_categories
     assert any("exclusion conflict" in w for w in plan.warnings)
     assert any("unknown category" in w for w in plan.warnings)
-    assert any("untargeted category" in w for w in plan.warnings)
 
 
 @pytest.mark.parametrize("answer", [
     {"add_categories": 5},
     {"add_categories": "hat"},
     {"add_categories": [{"category_id": ["hat"]}]},
-    {"add_categories": [{"category_id": "hat", "query": 7}]},
-    {"query_rewrites": ["x"]},
-    {"query_rewrites": {"body": 7}},
-], ids=["int_list", "string_list", "list_category", "int_query", "list_rewrites",
-        "int_rewrite"])
+    {"add_categories": [{"category_id": "pants", "query": 7}]},
+], ids=["int_list", "string_list", "list_category", "int_query"])
 def test_malformed_advisor_answer_leaves_plan_as_routed(answer):
+    # An object entry is malformed whatever it holds: an entry is a category id.
     spec = PromptSpec(text="a ranger", concepts=(Concept("cap"),))
     routed = route(spec, make_taxonomy())
     plan = route(spec, make_taxonomy(), advisor=FakeAdvisor(answer))
     assert plan.to_dict() == {**routed.to_dict(), "warnings": plan.warnings}
     assert len(plan.warnings) == len(routed.warnings) + 1
-    assert all(isinstance(q, str) for q in plan.queries.values())
 
 
 def test_advisor_failure_is_nonfatal():
@@ -207,7 +159,6 @@ def test_route_naive_single_category_per_concept():
     # min("jacket", "sweater") regardless of modifiers
     assert plan.target_categories == ("body", "jacket")
     assert plan.resolved_exclusions == []
-    assert plan.queries["jacket"] == "hoodie, zip-up, jacket"
 
 
 def test_plan_to_dict_is_sorted():
@@ -216,7 +167,7 @@ def test_plan_to_dict_is_sorted():
     )
     plan = route(spec, make_taxonomy())
     doc = plan.to_dict()
-    assert list(doc["queries"]) == sorted(doc["queries"])
+    assert list(doc["provenance"]) == sorted(doc["provenance"])
     assert doc["target_categories"] == ["body", "hat", "pants"]
 
 

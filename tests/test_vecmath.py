@@ -113,6 +113,24 @@ def test_subspace_max_rank_cap():
     assert basis.shape[1] == 5
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("max_rank", -1), ("max_rank", 0), ("max_rank", 2.5), ("max_rank", True),
+    ("max_rank", None), ("rank", 0), ("rank", -2), ("rank", 1.5), ("rank", True),
+    ("variance_threshold", 0.0), ("variance_threshold", -0.1),
+    ("variance_threshold", 1.5), ("variance_threshold", math.nan),
+    ("variance_threshold", True),
+])
+def test_subspace_params_reject_values_they_cannot_run(field, bad):
+    # max_rank=-1 would slice vt[:-1]; max_rank=0 would switch suppression off
+    with pytest.raises(ValueError, match=field):
+        SubspaceParams(**{field: bad})
+
+
+def test_subspace_params_accept_their_edges():
+    SubspaceParams(rank=1, max_rank=1, variance_threshold=1.0)
+    SubspaceParams(rank=None, variance_threshold=1e-9)
+
+
 def test_subspace_empty_raises():
     with pytest.raises(EmptyCategoryError):
         compute_category_subspace("hat", np.empty((0, 4)))
