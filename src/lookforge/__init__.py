@@ -5,9 +5,8 @@ The package is organized around a small pipeline:
 - :mod:`lookforge.vecmath` -- embedding normalization, category subspaces,
   cross-category suppression, and weighted fusion.
 - :mod:`lookforge.catalog` -- catalog / taxonomy ingestion and validation,
-  and the checksummed index directory that carries an ingested catalog to
-  ``retrieve``.
-- :mod:`lookforge.index` -- exact per-category cosine search.
+  exact per-category cosine search, and the checksummed index directory
+  that carries an ingested catalog to ``retrieve``.
 - :mod:`lookforge.router` -- prompt-to-category routing and exclusion
   resolution.
 - :mod:`lookforge.evidence` -- per-part visual evidence and text priors.

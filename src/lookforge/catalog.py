@@ -1,4 +1,5 @@
-"""Catalog and taxonomy ingestion, and the index directory.
+"""Catalog and taxonomy ingestion, exact per-category search, and the
+index directory.
 
 Catalogs arrive as JSONL, one asset per line:
 
@@ -8,8 +9,9 @@ Catalogs arrive as JSONL, one asset per line:
 ``bundle_id`` is optional; ``title`` and ``quality_flag`` are validated
 but not kept. Bad records, an embedding without a finite nonzero norm
 among them, are skipped and reported per line; only a dimension mismatch
-between valid records aborts the ingest. The catalog is one
-:class:`~lookforge.index.CategoryIndex` per category plus the bundle map.
+between valid records aborts the ingest. The catalog holds each
+category's rows and their norms, and searches them with one flat scan
+(:meth:`AssetCatalog.search`), plus the bundle map.
 
 ``build-index`` saves the catalog as ``catalog.npz`` (format version 2):
 ``meta``, JSON of each non-empty category's asset ids (JSON round-trips
@@ -36,12 +38,13 @@ from .errors import (
     ChecksumMismatchError,
     DimensionMismatchError,
     InvalidTaxonomyError,
+    NonFiniteVectorError,
     SnapshotIoError,
     UnknownCategoryError,
     VersionMismatchError,
+    ZeroVectorError,
 )
-from .index import CategoryIndex
-from .vecmath import ZERO_NORM_EPS
+from .vecmath import ZERO_NORM_EPS, as_vector, normalize
 
 logger = logging.getLogger(__name__)
 
@@ -221,20 +224,22 @@ class IngestReport:
             "n_rejected": self.n_rejected,
             "rejections": [asdict(r) for r in self.rejections],
             "dimension": catalog.dimension,
-            "categories": {c: catalog.index(c).size for c in catalog.taxonomy.categories},
+            "categories": {
+                c: len(catalog.embedding_matrix(c)[0]) for c in catalog.taxonomy.categories
+            },
         }
 
 
 class AssetCatalog:
-    """Each category's :class:`~lookforge.index.CategoryIndex` over its ids
-    in ascending order and one read-only float64 n x d matrix whose rows
-    follow them, plus ``bundles`` (asset id -> bundle id, where one exists).
+    """Each category's asset ids in ascending order, one read-only float64
+    n x d matrix whose rows follow them and each row's norm, plus
+    ``bundles`` (asset id -> bundle id, where one exists).
 
     ``rows`` maps a category id to (asset ids, matrix with one row per id)
     in any row order; categories left out are empty. The catalog owns each
     matrix and keeps one already in id order without a copy, as a
     read-only view: the caller must not write that array afterwards,
-    because the index's row norms are computed once. Raises
+    because the row norms are computed once. Raises
     :class:`UnknownCategoryError` for a category outside the taxonomy,
     :class:`DimensionMismatchError` when a matrix does not fit its ids or
     the first matrix's dimension, ``ValueError`` for a repeated id, and
@@ -254,7 +259,8 @@ class AssetCatalog:
         self.taxonomy = taxonomy
         self.bundles = dict(bundles or {})
         self.dimension = next((int(np.shape(m)[1]) for _, m in rows.values()), None)
-        self._indices: dict[str, CategoryIndex] = {}
+        self._rows: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+        self._norms: dict[str, np.ndarray] = {}
         seen: set[str] = set()
         for cid in taxonomy.categories:
             ids, matrix = rows.get(cid, ((), np.empty((0, self.dimension or 0))))
@@ -270,19 +276,37 @@ class AssetCatalog:
             order = sorted(range(len(ids)), key=ids.__getitem__)
             matrix = matrix.view() if order == sorted(order) else matrix[order]
             matrix.flags.writeable = False
-            self._indices[cid] = CategoryIndex(cid, [ids[k] for k in order], matrix)
-
-    def index(self, category_id: str) -> CategoryIndex:
-        """The category's search index, built once with the catalog."""
-        if category_id not in self._indices:
-            raise UnknownCategoryError(f"unknown category {category_id!r}")
-        return self._indices[category_id]
+            self._rows[cid] = (tuple(ids[k] for k in order), matrix)
+            # each row's norm, computed once; einsum makes no n x d temporary
+            norms = self._norms[cid] = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+            if not np.all(np.isfinite(norms)):
+                raise NonFiniteVectorError(f"a {cid!r} row's norm is not finite")
+            if np.any(norms <= ZERO_NORM_EPS):
+                raise ZeroVectorError(f"a {cid!r} row's norm is at most {ZERO_NORM_EPS}")
 
     def embedding_matrix(self, category_id: str) -> tuple[tuple[str, ...], np.ndarray]:
         """(asset ids, read-only embedding matrix) for a category, in
         asset-id order; the stored values, not copies."""
-        index = self.index(category_id)
-        return index.asset_ids, index.rows
+        if category_id not in self._rows:
+            raise UnknownCategoryError(f"unknown category {category_id!r}")
+        return self._rows[category_id]
+
+    def search(self, category_id: str, query, k: int) -> list[tuple[str, float]]:
+        """The category's top-``k`` (asset id, cosine) pairs against the
+        normalized query: a row scores ``(row . q) / norm``.
+
+        Ties break toward the lower asset id. ``k`` larger than the
+        category returns everything; an empty category returns nothing.
+        """
+        ids, matrix = self.embedding_matrix(category_id)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        q = normalize(as_vector(query, d=matrix.shape[1]))
+        # not `matrix @ q`: blocked gemv kernels give identical rows
+        # position-dependent scores, breaking the id tie-break
+        scores = (matrix * q).sum(axis=1) / self._norms[category_id]
+        order = np.argsort(-scores, kind="stable")[:k]
+        return [(ids[i], float(scores[i])) for i in order]
 
 
 def _parse_record(
@@ -309,7 +333,7 @@ def _parse_record(
         emb = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad_embedding: {exc}") from exc
-    # the row rule of CategoryIndex, computed the same way; a NaN norm fails too
+    # the catalog's row rule, computed the same way; a NaN norm fails too
     norm = math.sqrt(np.einsum("i,i", emb, emb)) if emb.ndim == 1 else math.nan
     if not ZERO_NORM_EPS < norm < math.inf:
         raise ValueError("bad_embedding: must be a 1-D vector with a finite nonzero norm")

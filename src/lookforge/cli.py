@@ -230,9 +230,7 @@ def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     plan = plan_from_dict(read_doc(out_dir / "plan.json"))
     store = load_evidence(_require_path(cfg, "evidence"))
     catalog = load_index_dir(cfg.paths["index_dir"], taxonomy, _index_sources(cfg))
-    retrievals = run_retrieval(
-        plan, catalog, store, taxonomy, cfg.retrieval, subspace_params=cfg.subspace
-    )
+    retrievals = run_retrieval(plan, catalog, store, cfg.retrieval, subspace_params=cfg.subspace)
     out = out_dir / "pools.json"
     write_output(out, cfg, pools_to_dict(retrievals))
     sizes = ", ".join(f"{cat}:{len(r.pool)}" for cat, r in sorted(retrievals.items()))

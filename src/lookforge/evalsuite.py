@@ -115,7 +115,7 @@ def run_interference_suite(
         subspaces = {} if ablate == "suppression" else scn.subspaces
         arm_cfg = replace(cfg, beta=0.0) if ablate == "scaffold" else cfg
         pool = retrieve_category(
-            truth.target_category, scn.catalog, store, taxonomy, subspaces, arm_cfg
+            truth.target_category, scn.catalog, store, subspaces, arm_cfg
         ).pool
         if not pool:
             continue

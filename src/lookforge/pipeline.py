@@ -65,7 +65,6 @@ def run_retrieval(
     plan: RoutingPlan,
     catalog: AssetCatalog,
     store: EvidenceStore,
-    taxonomy: Taxonomy,
     cfg: RetrievalConfig,
     subspace_params: SubspaceParams = SubspaceParams(),
 ) -> dict[str, CategoryRetrieval]:
@@ -73,12 +72,12 @@ def run_retrieval(
 
     Suppression subspaces are estimated over the whole catalog, not just
     the routed categories; interference comes from whatever else is in the
-    embedding, routed or not. The ``retrieve`` command passes the catalog
-    ``build-index`` saved.
+    embedding, routed or not. Views come from the catalog's taxonomy. The
+    ``retrieve`` command passes the catalog ``build-index`` saved.
     """
     subspaces = estimate_subspaces(catalog, subspace_params)
     return {
-        cat: retrieve_category(cat, catalog, store, taxonomy, subspaces, cfg)
+        cat: retrieve_category(cat, catalog, store, subspaces, cfg)
         for cat in plan.target_categories
     }
 
@@ -133,9 +132,7 @@ def run_pipeline(
     body_category: str | None = None,
 ) -> PipelineResult:
     plan = route(prompt, taxonomy, advisor=advisor)
-    retrievals = run_retrieval(
-        plan, catalog, store, taxonomy, retrieval_cfg, subspace_params
-    )
+    retrievals = run_retrieval(plan, catalog, store, retrieval_cfg, subspace_params)
     assembly = run_assembly(
         retrievals,
         judge,

@@ -15,9 +15,10 @@ categories' subspaces; the branch then degrades to the text prior alone
 rather than searching with noise.
 
 :func:`retrieve_category` is the one per-category call: it searches the
-category's index in the catalog and tags each pooled candidate with its
-asset's bundle id. :func:`retrieve_part` and
-:func:`retrieve_concept_residual` run single branches over a given index.
+category's catalog rows (:meth:`AssetCatalog.search`), takes the view from
+the catalog's taxonomy and tags each pooled candidate with its asset's
+bundle id. :func:`retrieve_part` and :func:`retrieve_concept_residual` run
+single branches over one category of the catalog.
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .catalog import AssetCatalog, Taxonomy
+from .catalog import AssetCatalog
 from .evidence import EvidenceStore, resolve_part_or_global, select_view
-from .index import CategoryIndex, SearchHit
 from .vecmath import fuse, normalize, suppress
 
 logger = logging.getLogger(__name__)
@@ -49,8 +49,8 @@ class RetrievalConfig:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
             w = getattr(self, name)
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {w}")
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0.0 <= w <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {w!r}")
         for name in ("branch_k", "pool_k", "gate_k"):
             k = getattr(self, name)
             if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -133,6 +133,8 @@ def pools_to_dict(retrievals: dict[str, CategoryRetrieval]) -> dict:
 
 def pools_from_dict(doc: dict) -> dict[str, CategoryRetrieval]:
     """Parse a pools.json body; a malformed entry raises ValueError naming it."""
+    if not isinstance(doc["pools"], dict):
+        raise ValueError("pools.json 'pools' must be an object keyed by category; re-run retrieve")
     out = {}
     for cat, entry in doc["pools"].items():
         try:
@@ -142,49 +144,46 @@ def pools_from_dict(doc: dict) -> dict[str, CategoryRetrieval]:
     return out
 
 
-def _to_candidates(hits: list[SearchHit], source: str) -> list[Candidate]:
-    return [Candidate(h.asset_id, h.score, source) for h in hits]
-
-
 def retrieve_part(
-    index: CategoryIndex,
+    catalog: AssetCatalog,
+    category_id: str,
     part_embedding,
     text_prior,
     cfg: RetrievalConfig,
 ) -> list[Candidate]:
     """Part branch: fuse(part, text prior, alpha), search branch_k."""
     q = fuse(part_embedding, text_prior, cfg.alpha)
-    return _to_candidates(index.search(q, cfg.branch_k), "part")
+    return [Candidate(a, s, "part") for a, s in catalog.search(category_id, q, cfg.branch_k)]
 
 
 def retrieve_concept_residual(
-    index: CategoryIndex,
+    catalog: AssetCatalog,
+    category_id: str,
     global_embedding,
     text_prior,
     subspaces: dict[str, np.ndarray],
     cfg: RetrievalConfig,
 ) -> tuple[list[Candidate], bool]:
-    """Concept-residual branch for ``index.category_id``.
+    """Concept-residual branch for ``category_id``.
 
     Suppresses every *other* category's subspace basis out of the global
     embedding. Passing an empty ``subspaces`` mapping disables suppression
     (the ablation path) without changing anything else. Returns the
     candidates and whether the residual collapsed to the text prior.
     """
-    others = {
-        cid: sub for cid, sub in subspaces.items() if cid != index.category_id
-    }
+    others = {cid: sub for cid, sub in subspaces.items() if cid != category_id}
     residual = suppress(global_embedding, others)
     collapsed = bool(np.linalg.norm(residual) <= RESIDUAL_COLLAPSE_EPS)
     if collapsed:
         logger.warning(
             "residual for category %r collapsed; querying with text prior only",
-            index.category_id,
+            category_id,
         )
         q = normalize(text_prior)
     else:
         q = fuse(normalize(residual), text_prior, cfg.beta)
-    return _to_candidates(index.search(q, cfg.branch_k), "concept_residual"), collapsed
+    hits = catalog.search(category_id, q, cfg.branch_k)
+    return [Candidate(a, s, "concept_residual") for a, s in hits], collapsed
 
 
 def build_pool(
@@ -217,27 +216,25 @@ def retrieve_category(
     category_id: str,
     catalog: AssetCatalog,
     store: EvidenceStore,
-    taxonomy: Taxonomy,
     subspaces: dict[str, np.ndarray],
     cfg: RetrievalConfig,
 ) -> CategoryRetrieval:
     """Run both branches over the catalog's rows of one routed category
     and pool the results, each tagged with its asset's bundle id."""
-    index = catalog.index(category_id)
     warnings: list[str] = []
     t_c = store.text_prior(category_id)
 
     part_embedding = resolve_part_or_global(category_id, store)
     part_candidates: list[Candidate] = []
     if part_embedding is not None:
-        part_candidates = retrieve_part(index, part_embedding, t_c, cfg)
+        part_candidates = retrieve_part(catalog, category_id, part_embedding, t_c, cfg)
 
-    source_view, view_warning = select_view(category_id, store, taxonomy)
+    source_view, view_warning = select_view(category_id, store, catalog.taxonomy)
     if view_warning:
         warnings.append(view_warning)
     g = store.view_embedding(source_view)
     residual_candidates, collapsed = retrieve_concept_residual(
-        index, g, t_c, subspaces, cfg
+        catalog, category_id, g, t_c, subspaces, cfg
     )
 
     pool = [

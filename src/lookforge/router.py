@@ -135,11 +135,17 @@ class RoutingPlan:
 
     @classmethod
     def from_dict(cls, doc: dict) -> RoutingPlan:
-        if not isinstance(doc.get("target_categories"), list):
+        if not isinstance(doc, dict) or not isinstance(doc.get("target_categories"), list):
             raise ValueError("routing plan needs a 'target_categories' list; re-run route")
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError("routing plan 'provenance' must be an object; re-run route")
+        exclusions = doc.get("resolved_exclusions", [])
+        if not isinstance(exclusions, list) or not all(isinstance(r, dict) for r in exclusions):
+            raise ValueError("routing plan 'resolved_exclusions' must list objects; re-run route")
         return cls(
             target_categories=tuple(doc["target_categories"]),
-            provenance={str(k): str(v) for k, v in doc.get("provenance", {}).items()},
+            provenance={str(k): str(v) for k, v in provenance.items()},
             resolved_exclusions=[
                 ExclusionResolution(
                     group=tuple(r.get("group", [])),
@@ -147,7 +153,7 @@ class RoutingPlan:
                     dropped=tuple(r.get("dropped", [])),
                     reason=str(r.get("reason", "")),
                 )
-                for r in doc.get("resolved_exclusions", [])
+                for r in exclusions
             ],
             warnings=[str(w) for w in doc.get("warnings", [])],
         )

@@ -258,20 +258,18 @@ def generate_interference_scenario(
         t_c = normalize(rows.mean(axis=0))
 
         subspaces = estimate_subspaces(catalog)
-        index = catalog.index(target_cat)
-
         suppressed, collapsed = retrieve_concept_residual(
-            index, g, t_c, subspaces, cfg
+            catalog, target_cat, g, t_c, subspaces, cfg
         )
         if collapsed or not suppressed or suppressed[0].asset_id != target_id:
             continue
-        unsuppressed, _ = retrieve_concept_residual(index, g, t_c, {}, cfg)
+        unsuppressed, _ = retrieve_concept_residual(catalog, target_cat, g, t_c, {}, cfg)
         unsup_top = unsuppressed[0].asset_id if unsuppressed else None
         if lam > 0 and unsup_top == target_id:
             continue
         if lam == 0 and unsup_top != target_id:
             continue
-        part = retrieve_part(index, p_c, t_c, cfg)
+        part = retrieve_part(catalog, target_cat, p_c, t_c, cfg)
         if not part or part[0].asset_id != target_id:
             continue
 
@@ -383,7 +381,7 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
         store.add_part(PartEvidence(category_id="body", status="failed"))
 
         plan = route(prompt, taxonomy)
-        retrievals = run_retrieval(plan, catalog, store, taxonomy, RetrievalConfig())
+        retrievals = run_retrieval(plan, catalog, store, RetrievalConfig())
         recovered = all(
             retrievals[cid].pool and retrievals[cid].pool[0].asset_id == planted[cid]
             for cid in planted

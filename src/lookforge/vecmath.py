@@ -4,7 +4,7 @@ Vectors are 1-D float64 numpy arrays of a shared dimension ``d``,
 validated for finiteness; zero-norm inputs raise instead of silently
 producing NaN. A category subspace is its orthonormal (d, r) basis
 matrix. Catalog rows are never normalized or cast here: search scores
-the catalog's float64 rows against their norms (:mod:`lookforge.index`).
+the catalog's float64 rows against their norms (:mod:`lookforge.catalog`).
 """
 from __future__ import annotations
 
@@ -74,6 +74,8 @@ class SubspaceParams:
         t = self.variance_threshold
         if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t <= 1.0:
             raise ValueError(f"variance_threshold must lie in (0, 1], got {t!r}")
+        if not isinstance(self.center, bool):  # a string such as "false" is truthy
+            raise ValueError(f"center must be true or false, got {self.center!r}")
 
 
 def compute_category_subspace(

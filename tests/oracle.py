@@ -1,8 +1,9 @@
-"""Reference ranking oracle for the index tests.
+"""Reference ranking oracle for the search tests.
 
-Same scoring contract as the index, a row scores ``(row . q) / ||row||``
-over the given float64 rows, with an independent scoring loop and sort,
-so a disagreement points at the index's search rather than at the oracle.
+Same scoring contract as :meth:`AssetCatalog.search`, a row scores
+``(row . q) / ||row||`` over the given float64 rows, with an independent
+scoring loop and sort, so a disagreement points at the search rather than
+at the oracle.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ def brute_force_ranking(
     """Full ranking by cosine, scored row by row and sorted in python.
 
     Each row is divided by its own norm after the dot product, the
-    index's scoring contract (shared on purpose); the scoring loop and the
-    (-score, asset_id) sort are independent of the index implementation.
+    search's scoring contract (shared on purpose); the scoring loop and the
+    (-score, asset_id) sort are independent of the search implementation.
     Ties resolve to the lower asset id.
     """
     rows = np.asarray(embeddings, dtype=np.float64)
@@ -44,7 +45,7 @@ def brute_force_rank(
 ) -> list[str]:
     """Top-``k`` asset ids for a category by full scan.
 
-    Same ordering contract as the index search: cosine descending, ties
+    Same ordering contract as the catalog's search: cosine descending, ties
     to the lower id, ``k`` past the category size returns everything,
     an empty category returns no ids.
     """

@@ -79,12 +79,11 @@ def test_criterion_01_index_matches_reference_ranking():
             seed=seed,
         )
         catalog, _ = generate_catalog(spec)
-        index = catalog.index("stock")
         rng = np.random.default_rng(10_000 + seed)
         for _ in range(10):
             q = rng.standard_normal(64)
             for k in (1, 10, 40):
-                got = [h.asset_id for h in index.search(q, k)]
+                got = [aid for aid, _ in catalog.search("stock", q, k)]
                 if got != brute_force_rank(catalog, "stock", q, k):
                     mismatches.append(f"seed={seed} k={k}")
                 checked += 1
@@ -191,7 +190,6 @@ def test_criterion_05_fusion_endpoints():
         seed=77,
     )
     catalog, _ = generate_catalog(spec)
-    index = catalog.index("stock")
     rng = np.random.default_rng(5)
     p_c = normalize(rng.standard_normal(16))
     t_c = normalize(rng.standard_normal(16))
@@ -204,16 +202,16 @@ def test_criterion_05_fusion_endpoints():
         return [c.asset_id for c in candidates]
 
     def ref(query) -> list[str]:
-        return [h.asset_id for h in index.search(query, 30)]
+        return [aid for aid, _ in catalog.search("stock", query, 30)]
 
     failures = []
-    if ids(retrieve_part(index, p_c, t_c, cfg(alpha=1.0))) != ref(p_c):
+    if ids(retrieve_part(catalog, "stock", p_c, t_c, cfg(alpha=1.0))) != ref(p_c):
         failures.append("alpha=1 is not the part-only ranking")
-    if ids(retrieve_part(index, p_c, t_c, cfg(alpha=0.0))) != ref(t_c):
+    if ids(retrieve_part(catalog, "stock", p_c, t_c, cfg(alpha=0.0))) != ref(t_c):
         failures.append("alpha=0 is not the text-only ranking")
-    if ids(retrieve_concept_residual(index, g, t_c, {}, cfg(beta=1.0))[0]) != ref(g):
+    if ids(retrieve_concept_residual(catalog, "stock", g, t_c, {}, cfg(beta=1.0))[0]) != ref(g):
         failures.append("beta=1 is not the residual-only ranking")
-    if ids(retrieve_concept_residual(index, g, t_c, {}, cfg(beta=0.0))[0]) != ref(t_c):
+    if ids(retrieve_concept_residual(catalog, "stock", g, t_c, {}, cfg(beta=0.0))[0]) != ref(t_c):
         failures.append("beta=0 is not the text-only ranking")
     _check(
         5,
@@ -476,20 +474,19 @@ def test_criterion_10_snapshot_fidelity(tmp_path):
         seed=9,
     )
     catalog, _ = generate_catalog(spec)
-    index = catalog.index("stock")
     sources = {"taxonomy": tmp_path / "taxonomy.json"}
     save_taxonomy(catalog.taxonomy, sources["taxonomy"])
     index_dir = tmp_path / "indices"
     write_doc(index_dir / MANIFEST_FILE, save_index_dir(catalog, index_dir, sources))
     reloaded = load_index_dir(index_dir, catalog.taxonomy, sources)
-    loaded = reloaded.index("stock")
 
     rng = np.random.default_rng(17)
     mismatches = 0
     for _ in range(100):
         q = rng.standard_normal(32)
-        before = [(h.asset_id, h.score, h.rank) for h in index.search(q, 10)]
-        after = [(h.asset_id, h.score, h.rank) for h in loaded.search(q, 10)]
+        # (rank, (asset id, score)): a hit's rank is its position in the list
+        before = list(enumerate(catalog.search("stock", q, 10)))
+        after = list(enumerate(reloaded.search("stock", q, 10)))
         if before != after:
             mismatches += 1
 

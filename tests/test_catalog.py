@@ -169,15 +169,13 @@ def test_embedding_matrix_is_the_stored_parse_in_id_order(rng):
 
 
 def test_catalog_index_shares_the_embedding_matrix():
+    # search scans the stored rows: a row's score is its cosine, whatever its norm
     tax = make_taxonomy()
     cat, _ = ingest_catalog([line("b", emb=(0.0, 2.0)), line("a")], tax)
-    ids, m = cat.embedding_matrix("hat")
-    index = cat.index("hat")
-    assert index.asset_ids == ids and index.category_id == "hat"
-    assert np.shares_memory(index.rows, m)
-    assert [h.asset_id for h in index.search([0.0, 1.0], k=2)] == ["b", "a"]
+    assert cat.search("hat", [0.0, 1.0], k=2) == [("b", 1.0), ("a", 0.0)]
+    assert cat.search("body", [0.0, 1.0], k=2) == []
     with pytest.raises(UnknownCategoryError):
-        cat.index("pants")
+        cat.search("pants", [0.0, 1.0], k=2)
 
 
 @pytest.mark.parametrize("bad, error", [

@@ -144,6 +144,8 @@ class TestRunConfig:
         ("subspace", "variance_threshold", 0),
         ("retrieval", "branch_k", 2.5),
         ("budget", "per_asset_cap", True),
+        ("subspace", "center", "false"),
+        ("retrieval", "alpha", True),
     ])
     def test_section_value_it_cannot_run_is_invalid_value(
         self, tmp_path, capsys, section, field, bad
@@ -393,6 +395,30 @@ class TestStageCommands:
         assert err["error"]["message"].startswith(
             f"pools.json category 'body': pool entry 0: {key} must be"
         )
+
+    @pytest.mark.parametrize("document, keys, bad", [
+        ("plan.json", ("plan",), ["body"]),
+        ("plan.json", ("plan", "provenance"), ["body"]),
+        ("plan.json", ("plan", "resolved_exclusions"), [7]),
+        ("pools.json", ("pools",), []),
+    ], ids=["plan", "provenance", "resolved_exclusions", "pools"])
+    def test_stage_document_of_wrong_shape_is_invalid_value(
+        self, demo, tmp_path, capsys, document, keys, bad
+    ):
+        stage, rerun = (
+            ("retrieve", "re-run route") if document == "plan.json"
+            else ("assemble", "re-run retrieve")
+        )
+        root = tmp_path / "bad-shape"
+        shutil.copytree(demo, root)
+        path = root / "output" / document
+        doc = json.loads(path.read_text())
+        (doc if len(keys) == 1 else doc[keys[0]])[keys[-1]] = bad
+        path.write_text(json.dumps(doc))
+        assert main([stage, "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == f"{stage}.InvalidValue"
+        assert err["message"].endswith(rerun)
 
     def test_retrieve_reads_documents_with_retired_keys(self, demo, tmp_path, capsys):
         # evidence as perfbench/gen.py writes it (prompt_text, and a part

@@ -1,3 +1,5 @@
+"""The catalog's exact per-category search, and the index directory that
+``build-index`` writes and ``retrieve`` loads."""
 from __future__ import annotations
 
 import hashlib
@@ -25,7 +27,6 @@ from lookforge.errors import (
     VersionMismatchError,
     ZeroVectorError,
 )
-from lookforge.index import CategoryIndex, SearchHit
 
 
 def oracle_ids(asset_ids, rows, query, k):
@@ -41,7 +42,12 @@ def oracle_ids(asset_ids, rows, query, k):
     return [aid for _, aid in scored[:k]]
 
 
-def small_index() -> CategoryIndex:
+def one_category(asset_ids, rows) -> AssetCatalog:
+    """A catalog whose one category, "hat", holds ``rows``."""
+    return AssetCatalog(Taxonomy(categories=("hat",)), {"hat": (asset_ids, rows)})
+
+
+def small_catalog() -> AssetCatalog:
     rows = np.array(
         [
             [1.0, 0.0, 0.0],
@@ -50,75 +56,54 @@ def small_index() -> CategoryIndex:
             [-1.0, 0.0, 0.0],
         ]
     )
-    return CategoryIndex("hat", ["a", "b", "c", "d"], rows)
+    return one_category(["a", "b", "c", "d"], rows)
 
 
 def test_search_ranks_by_cosine():
-    idx = small_index()
-    hits = idx.search([1.0, 0.1, 0.0], k=4)
-    assert [h.asset_id for h in hits] == ["a", "c", "b", "d"]
-    assert [h.rank for h in hits] == [0, 1, 2, 3]
-    assert hits[0].score == pytest.approx(1.0 / np.sqrt(1.01), abs=1e-6)
+    hits = small_catalog().search("hat", [1.0, 0.1, 0.0], k=4)
+    assert [aid for aid, _ in hits] == ["a", "c", "b", "d"]
+    assert hits[0][1] == pytest.approx(1.0 / np.sqrt(1.01), abs=1e-6)
 
 
 def test_search_tie_breaks_to_lower_asset_id():
     rows = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    idx = CategoryIndex("hat", ["m", "x", "y", "z"], rows)
-    hits = idx.search([1.0, 0.0], k=4)
-    assert [h.asset_id for h in hits] == ["x", "y", "z", "m"]
+    hits = one_category(["m", "x", "y", "z"], rows).search("hat", [1.0, 0.0], k=4)
+    assert [aid for aid, _ in hits] == ["x", "y", "z", "m"]
 
 
 def test_search_k_clamps_and_validates():
-    idx = small_index()
-    assert len(idx.search([1.0, 0.0, 0.0], k=100)) == 4
-    assert len(idx.search([1.0, 0.0, 0.0], k=2)) == 2
+    catalog = small_catalog()
+    assert len(catalog.search("hat", [1.0, 0.0, 0.0], k=100)) == 4
+    assert len(catalog.search("hat", [1.0, 0.0, 0.0], k=2)) == 2
     with pytest.raises(ValueError):
-        idx.search([1.0, 0.0, 0.0], k=0)
+        catalog.search("hat", [1.0, 0.0, 0.0], k=0)
 
 
 def test_search_zero_query_raises():
     with pytest.raises(ZeroVectorError):
-        small_index().search([0.0, 0.0, 0.0], k=1)
+        small_catalog().search("hat", [0.0, 0.0, 0.0], k=1)
 
 
 def test_empty_index():
-    idx = CategoryIndex("hat", [], np.empty((0, 3)))
-    assert idx.search([1.0, 0.0, 0.0], k=5) == []
-    assert idx.dim == 3 and idx.size == 0
-    assert idx.rows.shape == (0, 3)
+    catalog = one_category([], np.empty((0, 3)))
+    assert catalog.search("hat", [1.0, 0.0, 0.0], k=5) == []
+    assert catalog.dimension == 3
+    assert catalog.embedding_matrix("hat")[1].shape == (0, 3)
 
 
 def test_query_scale_invariance():
-    idx = small_index()
-    base = idx.search([0.3, 0.4, 0.5], k=4)
-    scaled = idx.search([0.3 * 4.0, 0.4 * 4.0, 0.5 * 4.0], k=4)
-    assert [h.asset_id for h in base] == [h.asset_id for h in scaled]
-    assert [h.score for h in base] == [h.score for h in scaled]
-
-
-def test_constructor_requires_sorted_unique_ids():
-    rows = np.eye(2)
-    with pytest.raises(ValueError):
-        CategoryIndex("hat", ["b", "a"], rows)
-    with pytest.raises(ValueError):
-        CategoryIndex("hat", ["a", "a"], rows)
+    catalog = small_catalog()
+    base = catalog.search("hat", [0.3, 0.4, 0.5], k=4)
+    scaled = catalog.search("hat", [0.3 * 4.0, 0.4 * 4.0, 0.5 * 4.0], k=4)
+    assert base == scaled
 
 
 def test_rows_are_the_given_float64_rows_readonly():
-    idx = small_index()
-    assert idx.rows.dtype == np.float64
-    assert idx.rows[2].tolist() == [1.0, 1.0, 0.0]
+    rows = small_catalog().embedding_matrix("hat")[1]
+    assert rows.dtype == np.float64
+    assert rows[2].tolist() == [1.0, 1.0, 0.0]
     with pytest.raises(ValueError):
-        idx.rows[0, 0] = 5.0
-
-
-def test_index_over_writable_array_ignores_later_writes():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    idx = CategoryIndex("hat", ["a", "b"], rows)
-    rows[0] = [0.0, 1.0]
-    rows[1] = [1.0, 0.0]
-    assert idx.rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert [h.asset_id for h in idx.search([1.0, 0.1], k=2)] == ["a", "b"]
+        rows[0, 0] = 5.0
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -129,12 +114,7 @@ def test_index_over_writable_array_ignores_later_writes():
 ], ids=["zero", "nan", "inf", "overflow"])
 def test_constructor_rejects_rows_without_finite_nonzero_norm(bad, error):
     with pytest.raises(error):
-        CategoryIndex("hat", ["a", "b"], np.array([[1.0, 0.0], bad]))
-
-
-def test_search_hit_is_plain_record():
-    hit = SearchHit("a", 0.5, 0)
-    assert (hit.asset_id, hit.score, hit.rank) == ("a", 0.5, 0)
+        one_category(["a", "b"], np.array([[1.0, 0.0], bad]))
 
 
 def test_duplicate_rows_tie_to_lower_id_regression():
@@ -143,10 +123,22 @@ def test_duplicate_rows_tie_to_lower_id_regression():
     rng = np.random.default_rng(5362)
     rows = rng.standard_normal((3, 8))
     rows[2] = rows[0]
-    idx = CategoryIndex("c", ["a000", "a001", "a002"], rows)
-    hits = idx.search(rng.standard_normal(8), k=3)
-    assert [h.asset_id for h in hits] == ["a001", "a000", "a002"]
-    assert hits[1].score == hits[2].score
+    catalog = one_category(["a000", "a001", "a002"], rows)
+    hits = catalog.search("hat", rng.standard_normal(8), k=3)
+    assert [aid for aid, _ in hits] == ["a001", "a000", "a002"]
+    assert hits[1][1] == hits[2][1]
+
+
+def test_search_keeps_tied_rows_in_id_order_in_a_large_category():
+    # below about 16 rows an unstable sort falls back to insertion sort,
+    # which keeps ties in order by accident; 40 rows in 5 tied groups do not
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((5, 6))[rng.permutation(np.arange(40) % 5)]
+    hits = one_category([f"a{i:02d}" for i in range(40)], rows).search(
+        "hat", rng.standard_normal(6), k=40
+    )
+    for (id_a, score_a), (id_b, score_b) in zip(hits, hits[1:]):
+        assert score_a > score_b or (score_a == score_b and id_a < id_b)
 
 
 @settings(max_examples=30)
@@ -163,13 +155,12 @@ def test_search_matches_reference_ranking(seed, n, k):
     # Plant a duplicate row when there is room, to exercise tie handling.
     if n >= 3:
         rows[2] = rows[0]
-    idx = CategoryIndex("c", ids, rows)
+    catalog = one_category(ids, rows)
     q = rng.standard_normal(d)
-    hits = idx.search(q, k=k)
-    assert [h.asset_id for h in hits] == oracle_ids(ids, idx.rows, q, k)
-    assert [h.rank for h in hits] == list(range(len(hits)))
+    hits = catalog.search("hat", q, k=k)
+    assert [aid for aid, _ in hits] == oracle_ids(ids, catalog.embedding_matrix("hat")[1], q, k)
     # Scores arrive in non-increasing order.
-    scores = [h.score for h in hits]
+    scores = [score for _, score in hits]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
@@ -210,16 +201,9 @@ def test_snapshot_round_trip_bit_identical(tmp_path, rng):
     catalog, index_dir, sources = saved_index(tmp_path, rows, {"a001": "b1", "s0": "b2"})
     loaded = load_index_dir(index_dir, TAXONOMY, sources)
     assert_same_catalog(catalog, loaded)
-    idx = catalog.index("hat")
-    reloaded = loaded.index("hat")
-    assert reloaded.rows.tobytes() == idx.rows.tobytes()
     for _ in range(20):
         q = rng.standard_normal(d)
-        a = idx.search(q, k=10)
-        b = reloaded.search(q, k=10)
-        assert [(h.asset_id, h.score, h.rank) for h in a] == [
-            (h.asset_id, h.score, h.rank) for h in b
-        ]
+        assert loaded.search("hat", q, k=10) == catalog.search("hat", q, k=10)
 
 
 def test_snapshot_empty_index_round_trip(tmp_path, rng):
@@ -228,8 +212,8 @@ def test_snapshot_empty_index_round_trip(tmp_path, rng):
     catalog, index_dir, sources = saved_index(tmp_path, rows)
     loaded = load_index_dir(index_dir, TAXONOMY, sources)
     assert_same_catalog(catalog, loaded)
-    shoe = loaded.index("shoe")
-    assert shoe.size == 0 and shoe.dim == 7
+    ids, matrix = loaded.embedding_matrix("shoe")
+    assert ids == () and matrix.shape == (0, 7)
     catalog, index_dir, sources = saved_index(tmp_path, {})
     loaded = load_index_dir(index_dir, TAXONOMY, sources)
     assert loaded.dimension is None

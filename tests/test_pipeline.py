@@ -68,13 +68,13 @@ def test_preloaded_indices_match_built_ones(tmp_path, scenario):
     plan = route(prompt, taxonomy)
     cfg = RetrievalConfig()
 
-    built = run_retrieval(plan, catalog, store, taxonomy, cfg)
+    built = run_retrieval(plan, catalog, store, cfg)
 
     sources = {"taxonomy": tmp_path / "taxonomy.json"}
     save_taxonomy(taxonomy, sources["taxonomy"])
     write_doc(tmp_path / MANIFEST_FILE, save_index_dir(catalog, tmp_path, sources))
     reloaded = load_index_dir(tmp_path, taxonomy, sources)
-    via_index_dir = run_retrieval(plan, reloaded, store, taxonomy, cfg)
+    via_index_dir = run_retrieval(plan, reloaded, store, cfg)
 
     for cat in plan.target_categories:
         assert built[cat].pool == via_index_dir[cat].pool
@@ -87,7 +87,7 @@ def test_suppression_uses_unrouted_categories(scenario):
     narrow = PromptSpec(text="a scout in a cap", concepts=(Concept("cap", ()),))
     plan = route(narrow, taxonomy)
     assert plan.target_categories == ("hat",)
-    rets = run_retrieval(plan, catalog, store, taxonomy, RetrievalConfig())
+    rets = run_retrieval(plan, catalog, store, RetrievalConfig())
     assert rets["hat"].pool[0].asset_id == target
 
 
@@ -118,9 +118,9 @@ def test_subspace_params_flow_through(scenario):
     plan = route(prompt, taxonomy)
     # rank 1 subspaces suppress less; the call must still succeed and the
     # two settings must be distinguishable in at least one pool
-    full = run_retrieval(plan, catalog, store, taxonomy, RetrievalConfig())
+    full = run_retrieval(plan, catalog, store, RetrievalConfig())
     skinny = run_retrieval(
-        plan, catalog, store, taxonomy, RetrievalConfig(),
+        plan, catalog, store, RetrievalConfig(),
         subspace_params=SubspaceParams(rank=1),
     )
     assert any(
@@ -155,7 +155,7 @@ for c in cats:
 part = normalize(picks[0] + 0.1 * rng.standard_normal(128))
 store.add_part(PartEvidence("c0", "valid", part))
 plan = RoutingPlan(cats, {})
-pools = run_retrieval(plan, catalog, store, catalog.taxonomy, RetrievalConfig())
+pools = run_retrieval(plan, catalog, store, RetrievalConfig())
 print(json.dumps(pools_to_dict(pools), sort_keys=True))
 """
 

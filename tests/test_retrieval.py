@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lookforge.catalog import AssetCatalog, Taxonomy
 from lookforge.errors import MissingTextPriorError
 from lookforge.evidence import EvidenceStore, PartEvidence
-from lookforge.index import CategoryIndex
 from lookforge.retrieval import (
     Candidate,
     CategoryRetrieval,
@@ -33,6 +32,12 @@ def test_config_defaults_and_validation():
         RetrievalConfig(alpha=1.5)
     with pytest.raises(ValueError):
         RetrievalConfig(beta=-0.1)
+    # a bool or a string is not a weight, though True compares as 1
+    for bad in (True, False, "0.5", None):
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            RetrievalConfig(alpha=bad)
+        with pytest.raises(ValueError, match="beta must be a number"):
+            RetrievalConfig(beta=bad)
     with pytest.raises(ValueError):
         RetrievalConfig(branch_k=0)
     # a count that is not an int would fail later, as a slice bound
@@ -111,16 +116,21 @@ def test_pool_matches_hash_map_oracle(seed):
 # --- branches ----------------------------------------------------------------
 
 
+def top_catalog(ids, rows) -> AssetCatalog:
+    """A catalog whose one category, "top", holds ``rows``."""
+    return AssetCatalog(Taxonomy(categories=("top",)), {"top": (ids, rows)})
+
+
 def test_retrieve_part_alpha_endpoint():
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    idx = CategoryIndex("hat", ["a", "b"], rows)
+    catalog = top_catalog(["a", "b"], rows)
     cfg = RetrievalConfig(alpha=1.0, branch_k=2)
-    out = retrieve_part(idx, [0.9, 0.1], [0.0, 1.0], cfg)
+    out = retrieve_part(catalog, "top", [0.9, 0.1], [0.0, 1.0], cfg)
     assert out[0].asset_id == "a"
     assert all(c.source == "part" for c in out)
     # alpha=0 ignores the part entirely
     cfg0 = RetrievalConfig(alpha=0.0, branch_k=2)
-    out0 = retrieve_part(idx, [0.9, 0.1], [0.0, 1.0], cfg0)
+    out0 = retrieve_part(catalog, "top", [0.9, 0.1], [0.0, 1.0], cfg0)
     assert out0[0].asset_id == "b"
 
 
@@ -133,39 +143,41 @@ def interference_fixture():
         ]
     )
     # ids ascending: dk (decoy) first, tg (target) second
-    idx = CategoryIndex("top", ["dk", "tg"], rows[[1, 0]])
+    catalog = top_catalog(["dk", "tg"], rows[[1, 0]])
     g = normalize([1.0, 1.5, 0.0, 0.0])
     t_c = np.array([1.0, 0.0, 0.0, 0.0])
-    return idx, g, t_c, {"legs": np.eye(4)[:, 1:2], "top": np.eye(4)[:, 0:1]}
+    return catalog, g, t_c, {"legs": np.eye(4)[:, 1:2], "top": np.eye(4)[:, 0:1]}
 
 
 def test_residual_suppression_flips_winner():
-    idx, g, t_c, subs = interference_fixture()
+    catalog, g, t_c, subs = interference_fixture()
     cfg = RetrievalConfig(branch_k=2)
-    with_sup, collapsed = retrieve_concept_residual(idx, g, t_c, subs, cfg)
+    with_sup, collapsed = retrieve_concept_residual(catalog, "top", g, t_c, subs, cfg)
     assert not collapsed
     assert with_sup[0].asset_id == "tg"
-    without, collapsed2 = retrieve_concept_residual(idx, g, t_c, {}, cfg)
+    without, collapsed2 = retrieve_concept_residual(catalog, "top", g, t_c, {}, cfg)
     assert not collapsed2
     assert without[0].asset_id == "dk"
     assert all(c.source == "concept_residual" for c in with_sup)
 
 
 def test_residual_excludes_own_category_subspace():
-    idx, g, t_c, subs = interference_fixture()
+    catalog, g, t_c, subs = interference_fixture()
     cfg = RetrievalConfig(branch_k=2)
     # subs includes a subspace for "top" itself; suppressing it would kill
     # the signal, so it must be skipped.
-    out, collapsed = retrieve_concept_residual(idx, g, t_c, subs, cfg)
+    out, collapsed = retrieve_concept_residual(catalog, "top", g, t_c, subs, cfg)
     assert not collapsed
     assert out[0].asset_id == "tg"
 
 
 def test_residual_collapse_falls_back_to_text_prior():
-    idx, g, t_c, _ = interference_fixture()
+    catalog, g, t_c, _ = interference_fixture()
     cfg = RetrievalConfig(branch_k=2)
     # Suppress the entire visible span of g.
-    out, collapsed = retrieve_concept_residual(idx, g, t_c, {"legs": np.eye(4)[:, :2]}, cfg)
+    out, collapsed = retrieve_concept_residual(
+        catalog, "top", g, t_c, {"legs": np.eye(4)[:, :2]}, cfg
+    )
     assert collapsed
     # Query degraded to t_c = e1, so the aligned target wins.
     assert out[0].asset_id == "tg"
@@ -175,13 +187,14 @@ def test_small_residual_is_not_collapsed():
     # g lies in the legs subspace except for a 1e-2 component along e3:
     # the residual is small but real, so it must steer the query, not the
     # text prior alone (which favours "prior")
-    idx = CategoryIndex("top", ["prior", "resid"], np.array([
+    catalog = top_catalog(["prior", "resid"], np.array([
         [1.0, 0.0, 0.0, 0.0],
         [0.2, 0.0, 1.0, 0.0],
     ]))
     g = normalize([0.0, 1.0, 1e-2, 0.0])
     out, collapsed = retrieve_concept_residual(
-        idx, g, [1.0, 0.0, 0.0, 0.0], {"legs": np.eye(4)[:, 1:2]}, RetrievalConfig(branch_k=2)
+        catalog, "top", g, [1.0, 0.0, 0.0, 0.0], {"legs": np.eye(4)[:, 1:2]},
+        RetrievalConfig(branch_k=2),
     )
     assert not collapsed
     assert [c.asset_id for c in out] == ["resid", "prior"]
@@ -200,12 +213,12 @@ def category_fixture(with_part: bool):
     store.add_text_prior("top", [1.0, 0.0, 0.0, 0.0])
     if with_part:
         store.add_part(PartEvidence("top", "valid", np.array([0.98, 0.05, 0.0, 0.0])))
-    return catalog, store, tax, {"legs": np.eye(4)[:, 1:2]}
+    return catalog, store, {"legs": np.eye(4)[:, 1:2]}
 
 
 def test_retrieve_category_with_part_evidence():
-    catalog, store, tax, subs = category_fixture(with_part=True)
-    out = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
+    catalog, store, subs = category_fixture(with_part=True)
+    out = retrieve_category("top", catalog, store, subs, RetrievalConfig(branch_k=2))
     assert out.used_part_evidence
     assert not out.residual_collapsed
     assert out.source_view == "front"
@@ -217,22 +230,22 @@ def test_retrieve_category_with_part_evidence():
 
 
 def test_retrieve_category_without_part_evidence():
-    catalog, store, tax, subs = category_fixture(with_part=False)
-    out = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
+    catalog, store, subs = category_fixture(with_part=False)
+    out = retrieve_category("top", catalog, store, subs, RetrievalConfig(branch_k=2))
     assert not out.used_part_evidence
     assert {c.source for c in out.pool} == {"concept_residual"}
 
 
 def test_retrieve_category_failed_part_uses_global_only():
-    catalog, store, tax, subs = category_fixture(with_part=False)
+    catalog, store, subs = category_fixture(with_part=False)
     store.add_part(PartEvidence("top", "failed"))
-    out = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
+    out = retrieve_category("top", catalog, store, subs, RetrievalConfig(branch_k=2))
     assert not out.used_part_evidence
 
 
 def test_pools_document_round_trip():
-    catalog, store, tax, subs = category_fixture(with_part=True)
-    top = retrieve_category("top", catalog, store, tax, subs, RetrievalConfig(branch_k=2))
+    catalog, store, subs = category_fixture(with_part=True)
+    top = retrieve_category("top", catalog, store, subs, RetrievalConfig(branch_k=2))
     legs = CategoryRetrieval(
         "legs", [cand("l1", 0.25, "concept_residual")], False, True, None, ["no view"]
     )
@@ -276,9 +289,9 @@ def test_pools_document_names_bad_entry(entry, detail):
 
 
 def test_retrieve_category_missing_text_prior():
-    catalog, store, tax, subs = category_fixture(with_part=False)
+    catalog, store, subs = category_fixture(with_part=False)
     with pytest.raises(MissingTextPriorError):
-        retrieve_category("legs", catalog, store, tax, subs, RetrievalConfig())
+        retrieve_category("legs", catalog, store, subs, RetrievalConfig())
 
 
 def test_retrieve_category_pool_respects_pool_k(rng):
@@ -290,7 +303,7 @@ def test_retrieve_category_pool_respects_pool_k(rng):
     store.add_view("front", normalize(rng.standard_normal(d)))
     store.add_text_prior("top", normalize(rng.standard_normal(d)))
     cfg = RetrievalConfig(branch_k=25, pool_k=7, gate_k=3)
-    out = retrieve_category("top", catalog, store, tax, {}, cfg)
+    out = retrieve_category("top", catalog, store, {}, cfg)
     assert len(out.pool) == 7
     scores = [c.score for c in out.pool]
     assert scores == sorted(scores, reverse=True)
@@ -305,11 +318,11 @@ def test_subspace_estimation_feeds_suppression(rng):
     legs_sub = compute_category_subspace("legs", legs_rows / np.linalg.norm(legs_rows, axis=1, keepdims=True))
     tgt = normalize(top_basis @ np.array([1.0, 0.2, 0.0, 0.0]))
     decoy = normalize(0.5 * tgt + 1.2 * legs_basis[:, 0])
-    idx = CategoryIndex("top", ["dk", "tg"], np.vstack([decoy, tgt]))
+    catalog = top_catalog(["dk", "tg"], np.vstack([decoy, tgt]))
     g = normalize(tgt + 1.5 * legs_basis[:, 0])
     t_c = tgt + 0.01 * rng.standard_normal(d)
     cfg = RetrievalConfig(branch_k=2)
-    sup, _ = retrieve_concept_residual(idx, g, t_c, {"legs": legs_sub}, cfg)
-    unsup, _ = retrieve_concept_residual(idx, g, t_c, {}, cfg)
+    sup, _ = retrieve_concept_residual(catalog, "top", g, t_c, {"legs": legs_sub}, cfg)
+    unsup, _ = retrieve_concept_residual(catalog, "top", g, t_c, {}, cfg)
     assert sup[0].asset_id == "tg"
     assert unsup[0].asset_id == "dk"

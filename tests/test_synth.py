@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+from lookforge.catalog import AssetCatalog, Taxonomy
 from lookforge.errors import InfeasibleSpecError
-from lookforge.index import CategoryIndex
 from lookforge.retrieval import RetrievalConfig, retrieve_concept_residual, retrieve_part
 from lookforge.synth import (
     CategorySpec,
@@ -151,24 +151,19 @@ class TestBruteForce:
         rows = rng.standard_normal((30, 8))
         ids = [asset_id_for("x", i) for i in range(30)]
         q = rng.standard_normal(8)
-        index = CategoryIndex("x", ids, rows)
-        hits = index.search(q, k=30)
+        catalog = AssetCatalog(Taxonomy(categories=("x",)), {"x": (ids, rows)})
+        hits = catalog.search("x", q, k=30)
         ranking = brute_force_ranking(ids, rows, q)
-        assert [h.asset_id for h in hits] == [aid for aid, _ in ranking]
+        assert [aid for aid, _ in hits] == [aid for aid, _ in ranking]
 
     def test_catalog_rank_matches_index(self, rng):
         catalog, _ = generate_catalog(small_spec(seed=13))
-        index = catalog.index("hat")
         q = rng.standard_normal(16)
         for k in (1, 3, 10, 99):
-            hits = index.search(q, k=k)
-            assert brute_force_rank(catalog, "hat", q, k) == [
-                h.asset_id for h in hits
-            ]
+            hits = catalog.search("hat", q, k=k)
+            assert brute_force_rank(catalog, "hat", q, k) == [aid for aid, _ in hits]
 
     def test_empty_category_and_bad_k(self):
-        from lookforge.catalog import AssetCatalog, Taxonomy
-
         catalog = AssetCatalog(Taxonomy(categories=("a",)), {"a": ([], np.empty((0, 4)))})
         assert brute_force_rank(catalog, "a", [1.0, 0, 0, 0], 5) == []
         with pytest.raises(ValueError):
@@ -234,18 +229,18 @@ class TestInterferenceScenario:
         scn = generate_interference_scenario(spec)
         truth = scn.truth
         cfg = RetrievalConfig()
-        index = scn.catalog.index(truth.target_category)
+        catalog, target = scn.catalog, truth.target_category
 
         suppressed, collapsed = retrieve_concept_residual(
-            index, truth.g, truth.t_c, scn.subspaces, cfg
+            catalog, target, truth.g, truth.t_c, scn.subspaces, cfg
         )
         assert not collapsed
         assert suppressed[0].asset_id == truth.target_asset_id
 
-        unsuppressed, _ = retrieve_concept_residual(index, truth.g, truth.t_c, {}, cfg)
+        unsuppressed, _ = retrieve_concept_residual(catalog, target, truth.g, truth.t_c, {}, cfg)
         assert unsuppressed[0].asset_id != truth.target_asset_id
 
-        part = retrieve_part(index, truth.p_c, truth.t_c, cfg)
+        part = retrieve_part(catalog, target, truth.p_c, truth.t_c, cfg)
         assert part[0].asset_id == truth.target_asset_id
         assert scn.attempts >= 1
 
@@ -256,9 +251,8 @@ class TestInterferenceScenario:
         ), seed=2)
         scn = generate_interference_scenario(spec, lam=0.0)
         truth = scn.truth
-        index = scn.catalog.index(truth.target_category)
         plain, _ = retrieve_concept_residual(
-            index, truth.g, truth.t_c, {}, RetrievalConfig()
+            scn.catalog, truth.target_category, truth.g, truth.t_c, {}, RetrievalConfig()
         )
         assert plain[0].asset_id == truth.target_asset_id
 

@@ -118,7 +118,7 @@ def test_subspace_max_rank_cap():
     ("max_rank", None), ("rank", 0), ("rank", -2), ("rank", 1.5), ("rank", True),
     ("variance_threshold", 0.0), ("variance_threshold", -0.1),
     ("variance_threshold", 1.5), ("variance_threshold", math.nan),
-    ("variance_threshold", True),
+    ("variance_threshold", True), ("center", "false"), ("center", 1),
 ])
 def test_subspace_params_reject_values_they_cannot_run(field, bad):
     # max_rank=-1 would slice vt[:-1]; max_rank=0 would switch suppression off
