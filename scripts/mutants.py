@@ -30,10 +30,15 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# tests/test_mutants.py checks each entry's old text against the checkout;
+# in a mutated copy it fails by construction, so it is left out here
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
 TIMEOUT_S = 600
 CATALOG = "src/lookforge/catalog.py"
+VECMATH = "src/lookforge/vecmath.py"
+ASSEMBLY = "src/lookforge/assembly.py"
+PIPELINE = "src/lookforge/pipeline.py"
 
 
 class Mutant(NamedTuple):
@@ -65,6 +70,29 @@ MUTANTS = (
     Mutant("unsorted-ids", CATALOG,
            "order = sorted(range(len(ids)), key=ids.__getitem__)",
            "order = list(range(len(ids)))"),
+    # the variance rule keeps the smallest rank that covers the threshold
+    Mutant("rank-off-by-one", VECMATH,
+           "np.searchsorted(covered, params.variance_threshold) + 1)",
+           "np.searchsorted(covered, params.variance_threshold) + 0)"),
+    # params.center subtracts the category mean before the SVD
+    Mutant("center-ignored", VECMATH, "if params.center:", "if False:"),
+    # a category without assets has no subspace
+    Mutant("empty-not-skipped", VECMATH, "        if not ids:\n", "        if False:\n"),
+    # fusion weights the inputs' directions, not their lengths
+    Mutant("fuse-unnormalized", VECMATH,
+           "    p = normalize(primary)\n"
+           "    fused = w * p + (1.0 - w) * normalize(as_vector(text_prior, d=p.shape[0]))",
+           "    p = as_vector(primary)\n"
+           "    fused = w * p + (1.0 - w) * as_vector(text_prior, d=p.shape[0])"),
+    # one run follows one taxonomy, the catalog's
+    Mutant("second-taxonomy", PIPELINE, "if taxonomy != catalog.taxonomy:", "if False:"),
+    # a judge edit cannot remove a required core category
+    Mutant("edit-core-unchecked", ASSEMBLY,
+           "if cat in taxonomy.required_core:", "if cat in ():"),
+    # slate picks respect the exclusion groups
+    Mutant("pick-exclusion-dropped", ASSEMBLY,
+           "if excluded_by(cat, look.selections, taxonomy.exclusion_groups) is not None:",
+           "if False:"),
 )
 
 

@@ -15,9 +15,10 @@ The stages, in pipeline order:
    comparisons.
 
 Looks never leave this module in an inconsistent state: every placement
-and edit is checked against the pool, exclusion (``catalog.excluded_by``)
-and core-category invariants, and a look's ``body_bundle_id`` is read
-from its final selections (``_body_bundle``).
+and edit is checked against the pool and the taxonomy's exclusion groups
+(``catalog.excluded_by``) and required core. Each stage takes the
+:class:`Taxonomy` itself, so no rule can be left out. A look's
+``body_bundle_id`` is read from its final selections (``_body_bundle``).
 
 Bundle ids come from the pools alone: retrieval tags each candidate with
 its asset's ``bundle_id``, and every lookup here is for a pooled asset (the
@@ -30,7 +31,7 @@ import logging
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 
-from .catalog import excluded_by
+from .catalog import Taxonomy, excluded_by
 from .errors import BudgetInfeasibleError, JudgeUnavailableError, MissingCoreCategoryError
 from .retrieval import Candidate
 
@@ -241,9 +242,8 @@ def assemble_initial(
     pools: dict[str, list[Candidate]],
     judge,
     *,
-    required_core: tuple[str, ...],
-    exclusion_groups: tuple[tuple[str, ...], ...] = (),
-    body_category: str | None = None,
+    taxonomy: Taxonomy,
+    body_category: str | None,
 ) -> AvatarLook:
     """Draft look ``look-base`` from the judge's outfit selection.
 
@@ -254,6 +254,7 @@ def assemble_initial(
     category excluded against one already placed is dropped, so core
     categories win conflicts. An empty core pool is fatal.
     """
+    required_core = taxonomy.required_core
     pool_ids = {cat: [c.asset_id for c in pool] for cat, pool in pools.items()}
     picks = judge.select_outfit(pool_ids, {"required_core": list(required_core)})
     for cat in required_core:
@@ -281,7 +282,7 @@ def assemble_initial(
         if aid not in pool_ids[cat]:
             look.history.append(f"replaced off-pool pick {aid} with {top} for {cat}")
             aid = top
-        conflict = excluded_by(cat, look.selections, exclusion_groups)
+        conflict = excluded_by(cat, look.selections, taxonomy.exclusion_groups)
         if conflict is not None:
             core = "core " if conflict in required_core else ""
             look.history.append(f"dropped {cat} (excluded against {core}{conflict})")
@@ -301,8 +302,7 @@ def _apply_edit(
     look: AvatarLook,
     edit: Edit,
     pools: dict[str, list[Candidate]],
-    exclusion_groups: tuple[tuple[str, ...], ...],
-    required_core: tuple[str, ...],
+    taxonomy: Taxonomy,
 ) -> bool:
     """Apply one judge edit if it keeps the look consistent."""
     cat = edit.category_id
@@ -312,7 +312,7 @@ def _apply_edit(
         if cat not in look.selections:
             look.history.append(f"skipped remove of unselected {cat}")
             return False
-        if cat in required_core:
+        if cat in taxonomy.required_core:
             look.history.append(f"skipped remove of core category {cat}")
             return False
         removed = look.selections.pop(cat)
@@ -329,7 +329,7 @@ def _apply_edit(
         if cat in look.selections:
             look.history.append(f"skipped add for already-selected {cat}")
             return False
-        conflict = excluded_by(cat, look.selections, exclusion_groups)
+        conflict = excluded_by(cat, look.selections, taxonomy.exclusion_groups)
         if conflict is not None:
             look.history.append(f"skipped add of {cat} (excluded against {conflict})")
             return False
@@ -351,9 +351,7 @@ def refine(
     judge,
     budget: GenerationBudget,
     pools: dict[str, list[Candidate]],
-    *,
-    exclusion_groups: tuple[tuple[str, ...], ...] = (),
-    required_core: tuple[str, ...] = (),
+    taxonomy: Taxonomy,
 ) -> AvatarLook:
     """Verify/edit loop: at most ``max_refine_iters`` judge verifications.
 
@@ -371,9 +369,11 @@ def refine(
             look.history.append(f"skipped malformed edit {rejected}")
         for edit in report.edits:
             before = dict(look.selections)
-            if not _apply_edit(look, edit, pools, exclusion_groups, required_core):
+            if not _apply_edit(look, edit, pools, taxonomy):
                 continue
-            problems = validate_look(look, pools, exclusion_groups, required_core)
+            problems = validate_look(
+                look, pools, taxonomy.exclusion_groups, taxonomy.required_core
+            )
             if problems:
                 look.selections = before
                 look.history.append(
@@ -396,10 +396,9 @@ def generate_candidates(
     judge,
     budget: GenerationBudget,
     *,
-    required_core: tuple[str, ...],
-    exclusion_groups: tuple[tuple[str, ...], ...] = (),
-    body_category: str | None = None,
-    base_look: AvatarLook | None = None,
+    taxonomy: Taxonomy,
+    body_category: str | None,
+    base_look: AvatarLook,
 ) -> list[AvatarLook]:
     """Diversified slate of refined looks under usage caps.
 
@@ -411,6 +410,7 @@ def generate_candidates(
     :class:`BudgetInfeasibleError`; other categories are omitted. Usage
     counters reflect each look's final, post-refinement selections.
     """
+    required_core = taxonomy.required_core
     bundles = pool_bundles(pools)
     asset_use: dict[str, int] = {}
     bundle_use: dict[str, int] = {}
@@ -431,13 +431,13 @@ def generate_candidates(
         first: the target bundle's bodies for the body category, the base
         look's pick for the others. The target is None only when no body
         has a bundle; then every body is preferred and pool order stands."""
-        if excluded_by(cat, look.selections, exclusion_groups) is not None:
+        if excluded_by(cat, look.selections, taxonomy.exclusion_groups) is not None:
             return None
         pool = pools[cat]
         if cat == body_category:
             preferred = (c for c in pool if c.bundle_id == target_bundle)
         else:
-            base_pick = base_look.selections.get(cat) if base_look else None
+            base_pick = base_look.selections.get(cat)
             preferred = (c for c in pool if c.asset_id == base_pick)
         for c in chain(preferred, pool):
             if not asset_blocked(c.asset_id) and not (
@@ -472,14 +472,7 @@ def generate_candidates(
                 continue
             look.selections[cat] = aid
 
-        look = refine(
-            look,
-            judge,
-            budget,
-            pools,
-            exclusion_groups=exclusion_groups,
-            required_core=required_core,
-        )
+        look = refine(look, judge, budget, pools, taxonomy)
         look.body_bundle_id = _body_bundle(look, bundles, body_category)
         for aid in look.selections.values():
             asset_use[aid] = asset_use.get(aid, 0) + 1

@@ -123,6 +123,11 @@ class Taxonomy:
 
     @classmethod
     def from_dict(cls, doc: dict) -> Taxonomy:
+        if not isinstance(doc, dict):
+            raise InvalidTaxonomyError("taxonomy must be a JSON object")
+        for key in ("concept_map", "view_map"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise InvalidTaxonomyError(f"taxonomy {key} must be an object")
         version = doc.get("schema_version", TAXONOMY_SCHEMA_VERSION)
         if version != TAXONOMY_SCHEMA_VERSION:
             raise InvalidTaxonomyError(f"unsupported taxonomy schema version {version!r}")

@@ -72,6 +72,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ValueError(f"unsupported run config schema version {version!r}")
 
     path_doc = doc.get("paths", {})
+    if not isinstance(path_doc, dict):
+        raise ValueError("run config paths must be an object")
     for key in ("catalog", "taxonomy"):
         if key not in path_doc:
             raise ValueError(f"run config paths must include {key!r}")

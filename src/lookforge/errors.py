@@ -30,10 +30,6 @@ class DimensionMismatchError(PipelineError):
     """Operands disagree on embedding dimension."""
 
 
-class EmptyCategoryError(PipelineError):
-    """A subspace was requested for a category with no embeddings."""
-
-
 class DegenerateFusionError(PipelineError):
     """Fusion inputs cancel; the fused vector has no direction."""
 

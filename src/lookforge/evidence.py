@@ -186,13 +186,20 @@ def load_evidence(path: str | Path) -> EvidenceStore:
     ``prompt_text`` and per-part ``source_view`` that older files carry, are
     ignored."""
     doc = read_doc(path)
+    if not isinstance(doc, dict):
+        raise ValueError("evidence must be a JSON object")
     version = doc.get("schema_version", EVIDENCE_SCHEMA_VERSION)
     if version != EVIDENCE_SCHEMA_VERSION:
         raise ValueError(f"unsupported evidence schema version {version!r}")
+    views, parts, priors = doc.get("views", {}), doc.get("parts", []), doc.get("text_priors", {})
+    if not isinstance(views, dict) or not isinstance(priors, dict):
+        raise ValueError("evidence views and text_priors must be objects")
+    if not isinstance(parts, list) or not all(isinstance(e, dict) for e in parts):
+        raise ValueError("evidence parts must be a list of objects")
     store = EvidenceStore()
-    for view, emb in doc.get("views", {}).items():
+    for view, emb in views.items():
         store.add_view(view, emb)
-    for entry in doc.get("parts", []):
+    for entry in parts:
         emb = entry.get("embedding")
         store.add_part(
             PartEvidence(
@@ -201,6 +208,6 @@ def load_evidence(path: str | Path) -> EvidenceStore:
                 embedding=None if emb is None else np.asarray(emb, dtype=np.float64),
             )
         )
-    for cid, emb in doc.get("text_priors", {}).items():
+    for cid, emb in priors.items():
         store.add_text_prior(cid, emb)
     return store

@@ -98,21 +98,9 @@ def run_assembly(
         raise UnknownCategoryError(f"body_category {body_category!r} is not a taxonomy category")
     pools = {cat: r.pool for cat, r in retrievals.items()}
     filtered, warnings = filter_pools(pools, judge, gate_k)
-    base = assemble_initial(
-        filtered,
-        judge,
-        required_core=taxonomy.required_core,
-        exclusion_groups=taxonomy.exclusion_groups,
-        body_category=body_category,
-    )
+    base = assemble_initial(filtered, judge, taxonomy=taxonomy, body_category=body_category)
     candidates = generate_candidates(
-        filtered,
-        judge,
-        budget,
-        required_core=taxonomy.required_core,
-        exclusion_groups=taxonomy.exclusion_groups,
-        body_category=body_category,
-        base_look=base,
+        filtered, judge, budget, taxonomy=taxonomy, body_category=body_category, base_look=base
     )
     winner = tournament(candidates, judge, budget.batch_size)
     return AssemblyResult(filtered, base, candidates, winner, warnings)
@@ -131,6 +119,11 @@ def run_pipeline(
     subspace_params: SubspaceParams = SubspaceParams(),
     body_category: str | None = None,
 ) -> PipelineResult:
+    """Route, retrieve and assemble one prompt. ``taxonomy`` must equal
+    ``catalog.taxonomy`` (``ValueError`` otherwise): retrieval reads the
+    catalog's, so a second one would mix two rule sets in one look."""
+    if taxonomy != catalog.taxonomy:
+        raise ValueError("taxonomy differs from the catalog's taxonomy")
     plan = route(prompt, taxonomy, advisor=advisor)
     retrievals = run_retrieval(plan, catalog, store, retrieval_cfg, subspace_params)
     assembly = run_assembly(

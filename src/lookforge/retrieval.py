@@ -181,7 +181,7 @@ def retrieve_concept_residual(
         )
         q = normalize(text_prior)
     else:
-        q = fuse(normalize(residual), text_prior, cfg.beta)
+        q = fuse(residual, text_prior, cfg.beta)
     hits = catalog.search(category_id, q, cfg.branch_k)
     return [Candidate(a, s, "concept_residual") for a, s in hits], collapsed
 

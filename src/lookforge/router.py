@@ -64,6 +64,8 @@ class PromptSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> PromptSpec:
+        if not isinstance(doc, dict):
+            raise ValueError("prompt must be a JSON object")
         version = doc.get("schema_version", PROMPT_SCHEMA_VERSION)
         if version != PROMPT_SCHEMA_VERSION:
             raise ValueError(f"unsupported prompt schema version {version!r}")

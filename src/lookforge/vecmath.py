@@ -3,8 +3,9 @@
 Vectors are 1-D float64 numpy arrays of a shared dimension ``d``,
 validated for finiteness; zero-norm inputs raise instead of silently
 producing NaN. A category subspace is its orthonormal (d, r) basis
-matrix. Catalog rows are never normalized or cast here: search scores
-the catalog's float64 rows against their norms (:mod:`lookforge.catalog`).
+matrix, estimated from the catalog's rows as stored: the catalog holds
+them finite and nonzero, and search scores them against their norms
+(:mod:`lookforge.catalog`), so nothing here re-checks, normalizes or casts them.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import (
     DegenerateFusionError,
     DimensionMismatchError,
-    EmptyCategoryError,
     NonFiniteVectorError,
     ZeroVectorError,
 )
@@ -59,7 +59,7 @@ def normalize(v) -> np.ndarray:
 @dataclass(frozen=True)
 class SubspaceParams:
     """How a category subspace's rank is chosen (see
-    :func:`compute_category_subspace`)."""
+    :func:`estimate_subspaces`)."""
 
     rank: int | None = None
     variance_threshold: float = 0.90
@@ -78,66 +78,39 @@ class SubspaceParams:
             raise ValueError(f"center must be true or false, got {self.center!r}")
 
 
-def compute_category_subspace(
-    category_id: str,
-    embeddings,
-    params: SubspaceParams = SubspaceParams(),
-) -> np.ndarray:
-    """SVD-derived subspace for one category's embeddings: its orthonormal
-    (d, r) basis, the top right singular vectors as columns.
-
-    ``embeddings`` stacks one row per asset. By default rows enter the SVD
-    uncentered, so the leading direction tracks the category mean; set
-    ``params.center`` to subtract the mean first. With ``params.rank``
-    None the rank is the smallest r whose squared singular values cover
-    ``params.variance_threshold`` of the total energy, capped at
-    ``params.max_rank``. An explicit rank is clamped to min(n, d).
-    """
-    m = np.asarray(embeddings, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    n, d = m.shape
-    if n == 0:
-        raise EmptyCategoryError(f"category {category_id!r} has no embeddings")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteVectorError("embedding matrix contains NaN or infinite entries")
-    if params.center:
-        m = m - m.mean(axis=0, keepdims=True)
-
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
-
-    if params.rank is not None:
-        r = min(params.rank, n, d)
-    else:
-        energy = s**2
-        total = float(energy.sum())
-        if total <= ZERO_NORM_EPS:
-            # All-zero rows after centering; keep a single direction.
-            r = 1
-        else:
-            covered = np.cumsum(energy) / total
-            r = int(np.searchsorted(covered, params.variance_threshold) + 1)
-        r = min(r, params.max_rank, n, d)
-
-    return np.ascontiguousarray(vt[:r].T)
-
-
 def estimate_subspaces(
     catalog: AssetCatalog,
     params: SubspaceParams = SubspaceParams(),
 ) -> dict[str, np.ndarray]:
-    """Per-category subspace bases estimated from catalog embeddings.
+    """Each non-empty category's subspace: the top right singular vectors
+    of its catalog rows, as the columns of an orthonormal (d, r) basis.
 
-    Categories without assets are skipped (logged), matching what the
-    pipeline can actually suppress.
+    Rows enter the SVD uncentered unless ``params.center``, so the leading
+    direction tracks the category mean. With ``params.rank`` None the rank
+    is the smallest r whose squared singular values cover
+    ``params.variance_threshold`` of the total energy, capped at
+    ``params.max_rank``; an explicit rank is clamped to min(n, d).
+    Categories without assets are skipped (logged): nothing to suppress.
     """
     out: dict[str, np.ndarray] = {}
     for cid in catalog.taxonomy.categories:
-        ids, rows = catalog.embedding_matrix(cid)
+        ids, m = catalog.embedding_matrix(cid)
         if not ids:
             logger.info("category %r has no assets; no subspace", cid)
             continue
-        out[cid] = compute_category_subspace(cid, rows, params)
+        if params.center:
+            m = m - m.mean(axis=0, keepdims=True)
+        s, vt = np.linalg.svd(m, full_matrices=False)[1:]  # U (n x min(n, d)) freed now
+        energy = s**2
+        total = float(energy.sum())
+        if params.rank is not None:
+            r = params.rank
+        elif total <= ZERO_NORM_EPS:  # all-zero rows after centering: keep one direction
+            r = 1
+        else:
+            covered = np.cumsum(energy) / total
+            r = min(params.max_rank, int(np.searchsorted(covered, params.variance_threshold) + 1))
+        out[cid] = np.ascontiguousarray(vt[: min(r, *m.shape)].T)
     return out
 
 
@@ -162,17 +135,23 @@ def suppress(g, others: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def fuse(primary, text_prior, w: float) -> np.ndarray:
-    """Weighted fusion ``normalize(w * primary + (1 - w) * text_prior)``.
+    """Weighted fusion of unit inputs,
+    ``normalize(w * normalize(primary) + (1 - w) * normalize(text_prior))``.
 
-    Raises :class:`DegenerateFusionError` when the combination cancels to
+    Each input is normalized first, so ``w`` is its share of the direction
+    whatever the inputs' lengths. An input whose weight is 0 is not read:
+    ``fuse(p, t, 1.0)`` is ``normalize(p)`` for any ``t``. A zero input
+    that is read raises :class:`ZeroVectorError`. Raises
+    :class:`DegenerateFusionError` when the combination cancels to
     (numerical) zero, which otherwise would manufacture an arbitrary
     direction out of noise.
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"fusion weight must lie in [0, 1], got {w}")
-    p = as_vector(primary)
-    t = as_vector(text_prior, d=p.shape[0])
-    fused = w * p + (1.0 - w) * t
+    if w in (0.0, 1.0):
+        return normalize(primary if w else text_prior)
+    p = normalize(primary)
+    fused = w * p + (1.0 - w) * normalize(as_vector(text_prior, d=p.shape[0]))
     n = float(np.linalg.norm(fused))
     if n <= ZERO_NORM_EPS:
         raise DegenerateFusionError("fused vector has no direction")

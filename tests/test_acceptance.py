@@ -327,6 +327,9 @@ def test_criterion_08_assembly_state_machine():
     }
     exclusions = (("jacket", "sweater"),)
     core = ("body",)
+    taxonomy = Taxonomy(
+        categories=tuple(pools), exclusion_groups=exclusions, required_core=core
+    )
     budget = GenerationBudget()
     failures: list[str] = []
 
@@ -343,8 +346,7 @@ def test_criterion_08_assembly_state_machine():
         JudgeClient(src_a),
         budget,
         pools,
-        exclusion_groups=exclusions,
-        required_core=core,
+        taxonomy,
     )
     n_verify = sum(1 for op, _ in src_a.calls if op == "verify")
     if n_verify != budget.max_refine_iters:
@@ -373,8 +375,7 @@ def test_criterion_08_assembly_state_machine():
         JudgeClient(src_b),
         budget,
         pools,
-        exclusion_groups=exclusions,
-        required_core=core,
+        taxonomy,
     )
     problems = validate_look(look_b, pools, exclusions, core)
     if problems:
@@ -407,9 +408,9 @@ def test_criterion_08_assembly_state_machine():
         pools,
         JudgeClient(src_d),
         budget,
-        required_core=core,
-        exclusion_groups=exclusions,
+        taxonomy=taxonomy,
         body_category="body",
+        base_look=AvatarLook("no-base"),
     )
     asset_use: dict[str, int] = {}
     bundle_use: dict[str, int] = {}

@@ -15,6 +15,7 @@ from lookforge.assembly import (
     tournament,
     validate_look,
 )
+from lookforge.catalog import Taxonomy
 from lookforge.errors import (
     BudgetInfeasibleError,
     JudgeUnavailableError,
@@ -28,6 +29,15 @@ def pool(*ids, start=1.0, bundles={}):
     return [
         Candidate(a, start - i * 0.01, "part", bundles.get(a)) for i, a in enumerate(ids)
     ]
+
+
+def rules(core=(), groups=()):
+    """A taxonomy carrying the given required core and exclusion groups."""
+    categories = tuple(dict.fromkeys([*core, *(c for g in groups for c in g)]))
+    return Taxonomy(categories, exclusion_groups=groups, required_core=core)
+
+
+NO_BASE = AvatarLook("no-base")
 
 
 def scripted(responses) -> tuple[JudgeClient, ScriptedSource]:
@@ -154,8 +164,7 @@ def test_assemble_top_selection_with_bundle():
     look = assemble_initial(
         {**BASE_POOLS, "body": pool("b1", "b2", bundles={"b1": "bundleA"})},
         judge,
-        required_core=("body",),
-        exclusion_groups=(("jacket", "sweater"),),
+        taxonomy=rules(("body",), (("jacket", "sweater"),)),
         body_category="body",
     )
     assert look.selections["body"] == "b1"
@@ -171,14 +180,14 @@ def test_assemble_replaces_off_pool_pick():
     judge, _ = scripted(
         {"select_outfit": [{"select": {"body": "b1", "hat": "ghost"}}]}
     )
-    look = assemble_initial(BASE_POOLS, judge, required_core=("body",))
+    look = assemble_initial(BASE_POOLS, judge, taxonomy=rules(("body",)), body_category=None)
     assert look.selections["hat"] == "h1"
     assert any("off-pool" in h for h in look.history)
 
 
 def test_assemble_fills_omitted_core():
     judge, _ = scripted({"select_outfit": [{"select": {"hat": "h2"}}]})
-    look = assemble_initial(BASE_POOLS, judge, required_core=("body",))
+    look = assemble_initial(BASE_POOLS, judge, taxonomy=rules(("body",)), body_category=None)
     assert look.selections["body"] == "b1"
     assert any("filled core" in h for h in look.history)
 
@@ -189,8 +198,8 @@ def test_assemble_core_conflict_wins():
     look = assemble_initial(
         pools,
         judge,
-        required_core=("sweater",),
-        exclusion_groups=(("jacket", "sweater"),),
+        taxonomy=rules(("sweater",), (("jacket", "sweater"),)),
+        body_category=None,
     )
     assert look.selections == {"sweater": "s1"}
     assert any("excluded against core" in h for h in look.history)
@@ -200,7 +209,7 @@ def test_assemble_missing_core_pool_is_fatal():
     pools = {"body": [], "hat": pool("h1")}
     judge, _ = scripted({"select_outfit": [{"select": "top"}]})
     with pytest.raises(MissingCoreCategoryError):
-        assemble_initial(pools, judge, required_core=("body",))
+        assemble_initial(pools, judge, taxonomy=rules(("body",)), body_category=None)
 
 
 CONFLICT_POOLS = {
@@ -232,7 +241,7 @@ CONFLICT_POOLS = {
 def test_assemble_conflict_table(picks, core, groups, expected):
     judge, _ = scripted({"select_outfit": [{"select": picks}]})
     look = assemble_initial(
-        CONFLICT_POOLS, judge, required_core=core, exclusion_groups=groups
+        CONFLICT_POOLS, judge, taxonomy=rules(core, groups), body_category=None
     )
     assert look.selections == expected
 
@@ -246,14 +255,16 @@ def test_assemble_core_wins_every_group(picks):
     pools = {"cape": pool("c1"), "hat": pool("h1"), "torso": pool("t1")}
     groups = (("cape", "torso"), ("hat", "torso"))
     judge, _ = scripted({"select_outfit": [{"select": picks}]})
-    look = assemble_initial(pools, judge, required_core=("torso",), exclusion_groups=groups)
+    look = assemble_initial(
+        pools, judge, taxonomy=rules(("torso",), groups), body_category=None
+    )
     assert look.selections == {"torso": "t1"}
     assert validate_look(look, pools, groups, ("torso",)) == []
 
 
 def test_assemble_drops_unknown_category_pick():
     judge, _ = scripted({"select_outfit": [{"select": {"wings": "w1", "body": "b1"}}]})
-    look = assemble_initial(BASE_POOLS, judge, required_core=("body",))
+    look = assemble_initial(BASE_POOLS, judge, taxonomy=rules(("body",)), body_category=None)
     assert "wings" not in look.selections
     assert any("unknown category" in h for h in look.history)
 
@@ -264,7 +275,7 @@ def test_assemble_drops_unknown_category_pick():
 def test_refine_pass_first_try():
     judge, src = scripted({"verify": [{"verdict": "pass"}]})
     look = AvatarLook("l", selections={"body": "b1"})
-    out = refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
+    out = refine(look, judge, GenerationBudget(), BASE_POOLS, taxonomy=rules(("body",)))
     assert out.status == "verified"
     assert len(src.calls) == 1
 
@@ -283,7 +294,7 @@ def test_refine_applies_edits_then_passes():
         }
     )
     look = AvatarLook("l", selections={"body": "b1"})
-    out = refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
+    out = refine(look, judge, GenerationBudget(), BASE_POOLS, taxonomy=rules(("body",)))
     assert out.status == "verified"
     assert out.selections["hat"] == "h2"
     assert out.history == ["add h2"]
@@ -306,7 +317,7 @@ def test_refine_edit_history_wording():
         }
     )
     look = AvatarLook("l", selections={"body": "b1", "hat": "h1", "jacket": "j1"})
-    out = refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
+    out = refine(look, judge, GenerationBudget(), BASE_POOLS, taxonomy=rules(("body",)))
     assert out.history == ["replace h2", "remove j1"]
     assert "jacket" not in out.selections
 
@@ -334,8 +345,7 @@ def test_refine_skips_invalid_edits():
         judge,
         GenerationBudget(),
         BASE_POOLS,
-        exclusion_groups=(("jacket", "sweater"),),
-        required_core=("body",),
+        taxonomy=rules(("body",), (("jacket", "sweater"),)),
     )
     assert out.selections == {"body": "b1", "hat": "h1", "jacket": "j1"}
     assert any("skipped remove of core" in h for h in out.history)
@@ -365,7 +375,7 @@ def test_refine_skips_malformed_edits(bad_edit, reason):
         }
     )
     look = AvatarLook("l", selections={"body": "b1", "hat": "h1"})
-    out = refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
+    out = refine(look, judge, GenerationBudget(), BASE_POOLS, taxonomy=rules(("body",)))
     assert out.status == "verified"
     assert out.selections == {"body": "b1", "hat": "h1", "jacket": "j1"}
     assert validate_look(out, BASE_POOLS, (), ("body",)) == []
@@ -384,7 +394,7 @@ def test_refine_rejects_non_list_issues_or_edits(answer):
     judge, _ = scripted({"verify": [answer]})
     look = AvatarLook("l", selections={"body": "b1", "hat": "h1"})
     with pytest.raises(JudgeUnavailableError, match="must be lists"):
-        refine(look, judge, GenerationBudget(), BASE_POOLS, required_core=("body",))
+        refine(look, judge, GenerationBudget(), BASE_POOLS, taxonomy=rules(("body",)))
     assert look.history == []
 
 
@@ -393,7 +403,7 @@ def test_refine_exhausts_budget_and_stays_draft():
     judge, src = scripted({"verify": [fail, fail, fail, fail, fail]})
     look = AvatarLook("l", selections={"body": "b1"})
     out = refine(look, judge, GenerationBudget(max_refine_iters=3), BASE_POOLS,
-                 required_core=("body",))
+                 taxonomy=rules(("body",)))
     assert out.status == "draft"
     assert len(src.calls) == 3  # never more than the budget
 
@@ -428,8 +438,9 @@ def test_generate_candidates_caps_and_rotation():
         big_pools(),
         passing_judge(),
         budget,
-        required_core=("body",),
+        taxonomy=rules(("body",)),
         body_category="body",
+        base_look=NO_BASE,
     )
     assert len(looks) == 6
     assert [lk.look_id for lk in looks] == [f"look-{i:03d}" for i in range(6)]
@@ -457,8 +468,9 @@ def test_generate_candidates_bundle_cap_binds_body_picks_only():
         {"body": pool("b1", "b2", bundles=bundles), "hat": pool("h1", "h2", bundles=bundles)},
         passing_judge(),
         GenerationBudget(n_candidates=2, per_asset_cap=2, per_bundle_cap=1),
-        required_core=("body",),
+        taxonomy=rules(("body",)),
         body_category="body",
+        base_look=NO_BASE,
     )
     assert [lk.selections for lk in looks] == [
         {"body": "b1", "hat": "h1"},
@@ -473,7 +485,9 @@ def test_generate_candidates_core_infeasible():
             pools,
             passing_judge(),
             GenerationBudget(n_candidates=3, per_asset_cap=2),
-            required_core=("body",),
+            taxonomy=rules(("body",)),
+            body_category=None,
+            base_look=NO_BASE,
         )
 
 
@@ -483,7 +497,9 @@ def test_generate_candidates_omits_capped_non_core():
         pools,
         passing_judge(),
         GenerationBudget(n_candidates=3, per_asset_cap=2),
-        required_core=("body",),
+        taxonomy=rules(("body",)),
+        body_category=None,
+        base_look=NO_BASE,
     )
     assert ["hat" in lk.selections for lk in looks] == [True, True, False]
     assert any("omitted hat" in h for h in looks[2].history)
@@ -493,7 +509,8 @@ def test_generate_candidates_empty_core_pool():
     pools = {"body": [], "hat": pool("h1")}
     with pytest.raises(BudgetInfeasibleError):
         generate_candidates(
-            pools, passing_judge(), GenerationBudget(), required_core=("body",)
+            pools, passing_judge(), GenerationBudget(), taxonomy=rules(("body",)),
+            body_category=None, base_look=NO_BASE,
         )
 
 
@@ -504,8 +521,9 @@ def test_generate_candidates_prefers_base_look():
         pools,
         passing_judge(),
         GenerationBudget(n_candidates=2),
-        required_core=("body",),
+        taxonomy=rules(("body",)),
         base_look=base,
+        body_category=None,
     )
     assert [lk.selections["hat"] for lk in looks] == ["h3", "h3"]
 
@@ -532,7 +550,9 @@ def test_generate_candidates_counts_post_refine_selections():
         big_pools(),
         judge,
         GenerationBudget(n_candidates=3),
-        required_core=(),
+        taxonomy=rules(),
+        body_category=None,
+        base_look=NO_BASE,
     )
     hats = [lk.selections["hat"] for lk in looks]
     assert hats == ["h3", "h3", "h3"]
@@ -546,8 +566,9 @@ def test_generate_candidates_exclusions_within_look():
         pools,
         passing_judge(),
         GenerationBudget(n_candidates=2),
-        required_core=(),
-        exclusion_groups=(("jacket", "sweater"),),
+        taxonomy=rules(groups=(("jacket", "sweater"),)),
+        body_category=None,
+        base_look=NO_BASE,
     )
     for lk in looks:
         assert "jacket" in lk.selections
@@ -564,8 +585,9 @@ def test_generate_candidates_body_bundle_follows_refined_body():
         {"body": pool("b1", "b2", bundles={"b1": "bundle-1", "b2": "bundle-2"})},
         judge,
         GenerationBudget(n_candidates=1),
-        required_core=(),
+        taxonomy=rules(),
         body_category="body",
+        base_look=NO_BASE,
     )
     assert look.selections == {"body": "b2"}
     assert look.body_bundle_id == "bundle-2"
@@ -581,9 +603,9 @@ def test_generate_candidates_body_pick_checks_exclusions():
         pools,
         passing_judge(),
         GenerationBudget(n_candidates=2),
-        required_core=(),
-        exclusion_groups=groups,
+        taxonomy=rules(groups=groups),
         body_category="body",
+        base_look=NO_BASE,
     )
     for lk in looks:
         assert validate_look(lk, pools, groups, ()) == []

@@ -420,6 +420,32 @@ class TestStageCommands:
         assert err["code"] == f"{stage}.InvalidValue"
         assert err["message"].endswith(rerun)
 
+    @pytest.mark.parametrize("document, reshape, stage, code", [
+        ("evidence.json", lambda d: {**d, "views": list(d["views"].values())},
+         "retrieve", "InvalidValue"),
+        ("evidence.json", lambda d: {**d, "text_priors": list(d["text_priors"].values())},
+         "retrieve", "InvalidValue"),
+        ("evidence.json", lambda d: {**d, "parts": [*d["parts"], 7]}, "retrieve", "InvalidValue"),
+        ("evidence.json", lambda d: [d], "retrieve", "InvalidValue"),
+        ("prompt.json", lambda d: [d], "route", "InvalidValue"),
+        ("taxonomy.json", lambda d: [d], "route", "InvalidTaxonomy"),
+        ("taxonomy.json", lambda d: {**d, "concept_map": list(d["concept_map"])},
+         "route", "InvalidTaxonomy"),
+        ("config.json", lambda d: {**d, "paths": list(d["paths"])}, "route", "InvalidValue"),
+    ], ids=["evidence_views", "evidence_text_priors", "evidence_part_number", "evidence_list",
+            "prompt_list", "taxonomy_list", "taxonomy_concept_map", "config_paths"])
+    def test_input_document_of_wrong_shape_is_rejected(
+        self, demo, tmp_path, capsys, document, reshape, stage, code
+    ):
+        # a list where an object belongs fails as the input's own error, not
+        # as an AttributeError from deep in a stage
+        root = tmp_path / "bad-input"
+        shutil.copytree(demo, root)
+        path = root / document
+        path.write_text(json.dumps(reshape(json.loads(path.read_text()))))
+        assert main([stage, "--config", str(root / "config.json")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == f"{stage}.{code}"
+
     def test_retrieve_reads_documents_with_retired_keys(self, demo, tmp_path, capsys):
         # evidence as perfbench/gen.py writes it (prompt_text, and a part
         # source_view, null for a failed part) and a plan that still carries

@@ -113,6 +113,23 @@ def test_unknown_body_category_raises(scenario):
     assert source.calls == []
 
 
+def test_second_taxonomy_is_refused(scenario):
+    # routing and assembly would follow one taxonomy, retrieval the catalog's
+    catalog, taxonomy, store, prompt, _ = scenario
+    other = Taxonomy(
+        categories=taxonomy.categories,
+        concept_map=taxonomy.concept_map,
+        required_core=("hat",),
+    )
+    source = ScriptedSource(PASS_SCRIPT)
+    with pytest.raises(ValueError, match="catalog's taxonomy"):
+        run_pipeline(catalog, other, store, prompt, JudgeClient(source))
+    assert source.calls == []
+    # an equal taxonomy that is another object is the same taxonomy
+    same = Taxonomy.from_dict(taxonomy.to_dict())
+    assert run_pipeline(catalog, same, store, prompt, JudgeClient(source)).winner
+
+
 def test_subspace_params_flow_through(scenario):
     catalog, taxonomy, store, prompt, _ = scenario
     plan = route(prompt, taxonomy)

@@ -21,7 +21,7 @@ from lookforge.retrieval import (
     retrieve_concept_residual,
     retrieve_part,
 )
-from lookforge.vecmath import compute_category_subspace, normalize
+from lookforge.vecmath import estimate_subspaces, normalize
 
 
 def test_config_defaults_and_validation():
@@ -315,7 +315,10 @@ def test_subspace_estimation_feeds_suppression(rng):
     q, _ = np.linalg.qr(rng.standard_normal((d, 8)))
     top_basis, legs_basis = q[:, :4], q[:, 4:8]
     legs_rows = rng.standard_normal((20, 4)) @ legs_basis.T
-    legs_sub = compute_category_subspace("legs", legs_rows / np.linalg.norm(legs_rows, axis=1, keepdims=True))
+    legs_rows /= np.linalg.norm(legs_rows, axis=1, keepdims=True)
+    legs_ids = [f"l{i:02d}" for i in range(20)]
+    legs_catalog = AssetCatalog(Taxonomy(categories=("legs",)), {"legs": (legs_ids, legs_rows)})
+    legs_sub = estimate_subspaces(legs_catalog)["legs"]
     tgt = normalize(top_basis @ np.array([1.0, 0.2, 0.0, 0.0]))
     decoy = normalize(0.5 * tgt + 1.2 * legs_basis[:, 0])
     catalog = top_catalog(["dk", "tg"], np.vstack([decoy, tgt]))

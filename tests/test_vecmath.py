@@ -8,16 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lookforge.catalog import AssetCatalog, Taxonomy
 from lookforge.errors import (
     DegenerateFusionError,
     DimensionMismatchError,
-    EmptyCategoryError,
     NonFiniteVectorError,
     ZeroVectorError,
 )
 from lookforge.vecmath import (
     SubspaceParams,
-    compute_category_subspace,
+    estimate_subspaces,
     fuse,
     normalize,
     suppress,
@@ -30,6 +30,13 @@ finite_vectors = hnp.arrays(
     shape=st.integers(min_value=2, max_value=32),
     elements=st.floats(min_value=-1e3, max_value=1e3),
 ).filter(lambda v: np.linalg.norm(v) > 1e-6)
+
+
+def subspace(rows, params=SubspaceParams()):
+    """The subspace estimated for a one-category catalog of ``rows``."""
+    ids = [f"a{i:03d}" for i in range(len(rows))]
+    catalog = AssetCatalog(Taxonomy(categories=("c",)), {"c": (ids, rows)})
+    return estimate_subspaces(catalog, params)["c"]
 
 
 def _unit(v):
@@ -80,7 +87,7 @@ def test_normalize_scale_invariant(v, c):
 def test_subspace_duplicate_rows_singular_value():
     # Ten copies of e1: one nonzero singular value, so one direction, e1.
     rows = np.tile(np.array([[1.0, 0.0, 0.0]]), (10, 1))
-    basis = compute_category_subspace("hat", rows)
+    basis = subspace(rows)
     assert basis.shape == (3, 1)
     assert abs(float(basis[0, 0])) == pytest.approx(1.0, abs=1e-12)
 
@@ -91,25 +98,25 @@ def test_subspace_variance_policy_two_directions():
     rows = np.vstack(
         [np.tile([[1.0, 0.0, 0.0]], (5, 1)), np.tile([[0.0, 1.0, 0.0]], (5, 1))]
     )
-    basis = compute_category_subspace("hat", rows)
+    basis = subspace(rows)
     assert basis.shape[1] == 2
     # The two directions span e1 and e2.
     assert np.allclose(basis @ basis.T, np.diag([1.0, 1.0, 0.0]), atol=1e-9)
     # Threshold at exactly the first step keeps rank 1.
-    low = compute_category_subspace("hat", rows, SubspaceParams(variance_threshold=0.5))
+    low = subspace(rows, SubspaceParams(variance_threshold=0.5))
     assert low.shape[1] == 1
 
 
 def test_subspace_fixed_rank_clamped():
     rows = np.eye(3)[:2]
-    basis = compute_category_subspace("hat", rows, SubspaceParams(rank=10))
+    basis = subspace(rows, SubspaceParams(rank=10))
     assert basis.shape[1] == 2  # clamped to n
 
 
 def test_subspace_max_rank_cap():
     rng = np.random.default_rng(1)
     rows = rng.standard_normal((40, 24))
-    basis = compute_category_subspace("hat", rows, SubspaceParams(max_rank=5))
+    basis = subspace(rows, SubspaceParams(max_rank=5))
     assert basis.shape[1] == 5
 
 
@@ -131,24 +138,19 @@ def test_subspace_params_accept_their_edges():
     SubspaceParams(rank=None, variance_threshold=1e-9)
 
 
-def test_subspace_empty_raises():
-    with pytest.raises(EmptyCategoryError):
-        compute_category_subspace("hat", np.empty((0, 4)))
-
-
 def test_subspace_center_flag():
     # Two antipodal clusters: uncentered SVD spends its first direction on
     # the mean, centered SVD does not.
     rows = np.array([[1.0, 0.1, 0.0], [1.0, -0.1, 0.0], [1.0, 0.1, 0.0]])
-    plain = compute_category_subspace("c", rows, SubspaceParams(rank=1))
-    centered = compute_category_subspace("c", rows, SubspaceParams(rank=1, center=True))
+    plain = subspace(rows, SubspaceParams(rank=1))
+    centered = subspace(rows, SubspaceParams(rank=1, center=True))
     assert abs(float(plain[0, 0])) > 0.9
     assert abs(float(centered[1, 0])) > 0.9
 
 
 def test_subspace_basis_orthonormal(rng):
     rows = rng.standard_normal((30, 16))
-    basis = compute_category_subspace("c", rows, SubspaceParams(rank=6))
+    basis = subspace(rows, SubspaceParams(rank=6))
     gram = basis.T @ basis
     assert np.allclose(gram, np.eye(6), atol=1e-10)
 
@@ -166,7 +168,7 @@ def test_project_in_and_out_of_subspace():
 def test_project_idempotent(seed):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((12, 8))
-    others = {"c": compute_category_subspace("c", rows, SubspaceParams(rank=3))}
+    others = {"c": subspace(rows, SubspaceParams(rank=3))}
     v = rng.standard_normal(8)
     once = suppress(v, others)
     assert np.linalg.norm(suppress(once, others) - once) <= 1e-9
@@ -242,6 +244,15 @@ def test_fuse_frozen_value():
     assert np.allclose(out, [0.9191450300180578, 0.3939192985791676], atol=1e-12)
 
 
+def test_fuse_weighs_directions_not_lengths():
+    p, t = np.array([3.0, 0.0]), np.array([0.0, 0.5])
+    # the frozen value of the unit inputs e1 and e2, whatever their lengths
+    assert np.allclose(fuse(p, t, 0.7), [0.9191450300180578, 0.3939192985791676], atol=1e-12)
+    # an input of weight 0 is not read
+    assert np.array_equal(fuse(p, np.zeros(2), 1.0), [1.0, 0.0])
+    assert np.array_equal(fuse(np.zeros(2), t, 0.0), [0.0, 1.0])
+
+
 def test_fuse_endpoints():
     p = _unit([2.0, 1.0, 0.0])
     t = _unit([0.0, 1.0, 3.0])
@@ -265,7 +276,7 @@ def test_fuse_output_unit_norm(v, w):
     t = np.roll(v, 1) + 0.5  # unrelated second vector, rarely cancels
     try:
         out = fuse(v, t, w)
-    except DegenerateFusionError:
+    except (DegenerateFusionError, ZeroVectorError):  # t is zero when v is all -0.5
         return
     assert math.isclose(float(np.linalg.norm(out)), 1.0, rel_tol=1e-12)
 
