@@ -79,36 +79,30 @@ class Taxonomy:
 
     def validate(self) -> list[str]:
         """Return human-readable structural violations (empty when valid)."""
-        problems: list[str] = []
+        problems = [] if self.categories else ["no categories declared"]
         declared = set(self.categories)
-        if len(declared) != len(self.categories):
-            problems.append("duplicate category ids")
-        if not self.categories:
-            problems.append("no categories declared")
-        for concept, cats in self.concept_map.items():
-            if not cats:
-                problems.append(f"concept {concept!r} maps to no categories")
-            for c in cats:
-                if c not in declared:
-                    problems.append(f"concept {concept!r} maps to unknown category {c!r}")
+        lists = [
+            ("categories", self.categories),
+            *((f"concept {k!r}", v) for k, v in self.concept_map.items()),
+            *((f"exclusion group {list(g)}", g) for g in self.exclusion_groups),
+            ("view map", tuple(self.view_map)),
+            ("required core", self.required_core),
+        ]
+        for name, ids in lists:
+            if len(set(ids)) != len(ids):
+                problems.append(f"duplicate category id in {name}")
+            problems += [f"{name} references unknown category {c!r}"
+                         for c in ids if c not in declared]
+        problems += [f"concept {k!r} maps to no categories"
+                     for k, v in self.concept_map.items() if not v]
         for group in self.exclusion_groups:
             if len(group) < 2:
                 problems.append(f"exclusion group {list(group)} has fewer than 2 members")
             core = [c for c in group if c in self.required_core]
             if len(core) > 1:  # no look could hold them all
                 problems.append(f"exclusion group {list(group)} holds required core {core}")
-            for c in group:
-                if c not in declared:
-                    problems.append(f"exclusion group references unknown category {c!r}")
-        for cat, views in self.view_map.items():
-            if cat not in declared:
-                problems.append(f"view map references unknown category {cat!r}")
-            for v in views:
-                if v not in VIEWS:
-                    problems.append(f"view map for {cat!r} lists unknown view {v!r}")
-        for c in self.required_core:
-            if c not in declared:
-                problems.append(f"required core references unknown category {c!r}")
+        problems += [f"view map for {cat!r} lists unknown view {v!r}"
+                     for cat, views in self.view_map.items() for v in views if v not in VIEWS]
         return problems
 
     def to_dict(self) -> dict:
@@ -122,28 +116,29 @@ class Taxonomy:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> Taxonomy:
-        if not isinstance(doc, dict):
-            raise InvalidTaxonomyError("taxonomy must be a JSON object")
-        for key in ("concept_map", "view_map"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise InvalidTaxonomyError(f"taxonomy {key} must be an object")
-        version = doc.get("schema_version", TAXONOMY_SCHEMA_VERSION)
-        if version != TAXONOMY_SCHEMA_VERSION:
-            raise InvalidTaxonomyError(f"unsupported taxonomy schema version {version!r}")
+    def from_dict(cls, doc: dict, name: str) -> Taxonomy:
+        """Parse and validate the taxonomy ``name``; refusals are InvalidTaxonomyError."""
         try:
+            check_doc(doc, TAXONOMY_SCHEMA_VERSION, name)
+            maps = {
+                key: {k: strings(v, at(name, key, k))
+                      for k, v in check(doc.get(key, {}), dict, at(name, key)).items()}
+                for key in ("concept_map", "view_map")
+            }
+            groups = check(doc.get("exclusion_groups", []), list, at(name, "exclusion_groups"))
             tax = cls(
-                categories=tuple(doc["categories"]),
-                concept_map={k: tuple(v) for k, v in doc.get("concept_map", {}).items()},
-                exclusion_groups=tuple(tuple(g) for g in doc.get("exclusion_groups", [])),
-                view_map={k: tuple(v) for k, v in doc.get("view_map", {}).items()},
-                required_core=tuple(doc.get("required_core", [])),
+                categories=need(doc, "categories", strings, name),
+                exclusion_groups=tuple(
+                    strings(g, at(name, "exclusion_groups", i)) for i, g in enumerate(groups)
+                ),
+                required_core=strings(doc.get("required_core", []), at(name, "required_core")),
+                **maps,
             )
-        except (KeyError, TypeError) as exc:
-            raise InvalidTaxonomyError(f"malformed taxonomy document: {exc}") from exc
+        except ValueError as exc:
+            raise InvalidTaxonomyError(str(exc)) from exc
         problems = tax.validate()
         if problems:
-            raise InvalidTaxonomyError("; ".join(problems))
+            raise InvalidTaxonomyError(f"{name}: " + "; ".join(problems))
         return tax
 
 
@@ -164,8 +159,65 @@ def excluded_by(
 
 def read_doc(path: str | Path) -> dict:
     """Read one JSON document; every JSON file the package reads goes through here."""
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return parse_doc(Path(path).read_bytes(), path)
+
+
+def parse_doc(raw: bytes, path: str | Path) -> dict:
+    """Parse JSON read from ``path``; a decode error's message starts with the path."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+
+
+# Shape checks for every stage input: a refusal is a ValueError naming the document and
+# key path ("evidence.json: parts[0].status is missing"). Optional keys: check(doc.get(...)).
+
+_KINDS = {str: "a string", bool: "true or false", int: "an integer", float: "a number",
+          list: "a list", dict: "an object", type(None): "null"}
+
+
+def at(where: str, *keys: str | int) -> str:
+    """The path of ``keys`` below ``where``, a document or a path in one:
+    ``at("evidence.json", "parts", 0, "status")`` is ``evidence.json: parts[0].status``."""
+    for key in keys:
+        where += f"[{key}]" if isinstance(key, int) else f"{'.' if ': ' in where else ': '}{key}"
+    return where
+
+
+def check(value, kind, path: str):
+    """``value`` if it is a ``kind``, a type or tuple of types (a bool is no
+    number: ``true`` is never 1), else a ValueError naming ``path``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
+        return value
+    wanted = " or ".join(_KINDS[k] for k in kinds if not (k is int and float in kinds))
+    raise ValueError(f"{path} must be {wanted}, got {value!r}")
+
+
+def strings(value, path: str) -> tuple[str, ...]:
+    """A list of strings as a tuple; a bare string is refused, not read as its characters."""
+    for i, item in enumerate(check(value, list, path)):
+        check(item, str, at(path, i))
+    return tuple(value)
+
+
+def need(doc: dict, key: str, kind, where: str):
+    """The required ``doc[key]``, checked by ``kind`` (``strings`` or a :func:`check` kind);
+    ``where`` is the path of ``doc``."""
+    path = at(where, key)
+    if key not in doc:
+        raise ValueError(f"{path} is missing")
+    return strings(doc[key], path) if kind is strings else check(doc[key], kind, path)
+
+
+def check_doc(doc, supported: int, name: str) -> dict:
+    """``doc`` if it is an object whose ``schema_version`` is ``supported``
+    (a document without one has it), else a ValueError naming ``name``."""
+    version = check(doc, dict, name).get("schema_version", supported)
+    if check(version, int, at(name, "schema_version")) != supported:
+        raise ValueError(f"{name}: unsupported schema version {version!r}")
+    return doc
 
 
 def write_doc(path: str | Path, doc: dict) -> None:
@@ -195,7 +247,7 @@ def replace_file(path: Path, write: Callable[[BinaryIO], object]) -> None:
 
 
 def load_taxonomy(path: str | Path) -> Taxonomy:
-    return Taxonomy.from_dict(read_doc(path))
+    return Taxonomy.from_dict(read_doc(path), Path(path).name)
 
 
 def save_taxonomy(tax: Taxonomy, path: str | Path) -> None:

@@ -25,15 +25,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .assembly import GenerationBudget
-from .catalog import MANIFEST_FILE, Taxonomy, ingest_catalog, load_index_dir, load_taxonomy
-from .catalog import read_doc, save_index_dir, write_doc
+from .catalog import MANIFEST_FILE, Taxonomy, at, check, check_doc, ingest_catalog
+from .catalog import load_index_dir, load_taxonomy, need, parse_doc, read_doc, save_index_dir
+from .catalog import write_doc
 from .errors import PipelineError
 from .evalsuite import ABLATIONS, markdown_table, run_interference_suite
 from .evidence import load_evidence
 from .judge import DEFAULT_HTTP_TIMEOUT, PASS_SCRIPT, HttpSource, JudgeClient, ScriptedSource
 from .pipeline import run_assembly, run_retrieval
 from .retrieval import RetrievalConfig, pools_from_dict, pools_to_dict
-from .router import load_prompt, plan_from_dict, plan_to_dict, route
+from .router import load_prompt, plan_targets, plan_to_dict, route
 from .synth import generate_pipeline_scenario
 from .vecmath import SubspaceParams
 
@@ -44,10 +45,12 @@ ENV_JUDGE_URL = "LOOKFORGE_JUDGE_URL"
 ENV_JUDGE_TIMEOUT = "LOOKFORGE_JUDGE_TIMEOUT"
 
 PATH_KEYS = ("catalog", "taxonomy", "evidence", "prompt", "index_dir", "output_dir")
+SECTIONS = {"retrieval": RetrievalConfig, "budget": GenerationBudget, "subspace": SubspaceParams}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    name: str  # the config file's name, as messages give it
     root: Path
     body_category: str | None
     paths: dict[str, Path]
@@ -60,53 +63,52 @@ class RunConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run config; relative paths resolve against the
-    config file's directory."""
+    """Parse and validate a run config, whose relative paths resolve against
+    its directory; a refusal is a ValueError naming the file and the key."""
     p = Path(path)
     raw = p.read_bytes()
-    doc = json.loads(raw)
-    if not isinstance(doc, dict):
-        raise ValueError("run config must be a JSON object")
-    version = doc.get("schema_version", RUN_CONFIG_SCHEMA_VERSION)
-    if version != RUN_CONFIG_SCHEMA_VERSION:
-        raise ValueError(f"unsupported run config schema version {version!r}")
+    name = p.name
+    doc = check_doc(parse_doc(raw, p), RUN_CONFIG_SCHEMA_VERSION, name)
 
-    path_doc = doc.get("paths", {})
-    if not isinstance(path_doc, dict):
-        raise ValueError("run config paths must be an object")
-    for key in ("catalog", "taxonomy"):
-        if key not in path_doc:
-            raise ValueError(f"run config paths must include {key!r}")
-    defaults = {"index_dir": "indices", "output_dir": "output"}
-    paths: dict[str, Path] = {}
-    for key in PATH_KEYS:
-        value = path_doc.get(key, defaults.get(key))
-        if value is not None:
-            paths[key] = p.parent / value
+    path_doc = {"index_dir": "indices", "output_dir": "output", **need(doc, "paths", dict, name)}
+    paths = {  # catalog and taxonomy are required
+        key: p.parent / need(path_doc, key, str, at(name, "paths"))
+        for key in PATH_KEYS if key in path_doc or key in ("catalog", "taxonomy")
+    }
 
-    try:
-        retrieval = RetrievalConfig(**doc.get("retrieval", {}))
-        budget = GenerationBudget(**doc.get("budget", {}))
-        subspace = SubspaceParams(**doc.get("subspace", {}))
-    except TypeError as exc:
-        raise ValueError(f"bad run config section: {exc}") from exc
+    sections = {}
+    for key, kind in SECTIONS.items():
+        fields = check(doc.get(key, {}), dict, at(name, key))
+        try:
+            sections[key] = kind(**fields)
+        except TypeError as exc:  # a key the section does not define
+            raise ValueError(f"{at(name, key)}: bad run config section: {exc}") from exc
+        except ValueError as exc:  # its message starts with the field's name
+            raise ValueError(f"{at(name, key)}.{exc}") from exc
+
+    judge = check(doc.get("judge", "passthrough"), str, at(name, "judge"))
+    advisor = check(doc.get("advisor"), (str, type(None)), at(name, "advisor"))
+    for key, spec in (("judge", judge), ("advisor", advisor or "passthrough")):
+        try:
+            parse_judge_spec(spec)
+        except ValueError as exc:
+            raise ValueError(f"{at(name, key)}: {exc}") from exc
 
     return RunConfig(
+        name=name,
         root=p.parent,
-        body_category=doc.get("body_category"),
+        body_category=check(doc.get("body_category"), (str, type(None)), at(name, "body_category")),
         paths=paths,
-        retrieval=retrieval,
-        budget=budget,
-        subspace=subspace,
-        judge_spec=str(doc.get("judge", "passthrough")),
-        advisor_spec=doc.get("advisor"),
+        judge_spec=judge,
+        advisor_spec=advisor,
         config_sha256=hashlib.sha256(raw).hexdigest(),
+        **sections,
     )
 
 
 def _require_path(cfg: RunConfig, key: str) -> Path:
     if key not in cfg.paths:
-        raise ValueError(f"run config paths entry {key!r} is required for this command")
+        raise ValueError(f"{at(cfg.name, 'paths', key)} is missing; this command needs it")
     return cfg.paths[key]
 
 
@@ -218,7 +220,7 @@ def cmd_route(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     prompt = load_prompt(_require_path(cfg, "prompt"))
     advisor = None
     if cfg.advisor_spec is not None:
-        advisor = build_judge(str(cfg.advisor_spec), cfg.root, effective_timeout())
+        advisor = build_judge(cfg.advisor_spec, cfg.root, effective_timeout())
     plan = route(prompt, taxonomy, advisor=advisor)
     out = _out_dir(args, cfg) / "plan.json"
     write_output(out, cfg, plan_to_dict(plan))
@@ -229,10 +231,11 @@ def cmd_route(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
 @stage_command
 def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     out_dir = _out_dir(args, cfg)
-    plan = plan_from_dict(read_doc(out_dir / "plan.json"))
+    plan = check_doc(read_doc(out_dir / "plan.json"), OUTPUT_SCHEMA_VERSION, "plan.json")
+    targets = plan_targets(plan, taxonomy)
     store = load_evidence(_require_path(cfg, "evidence"))
     catalog = load_index_dir(cfg.paths["index_dir"], taxonomy, _index_sources(cfg))
-    retrievals = run_retrieval(plan, catalog, store, cfg.retrieval, subspace_params=cfg.subspace)
+    retrievals = run_retrieval(targets, catalog, store, cfg.retrieval, subspace_params=cfg.subspace)
     out = out_dir / "pools.json"
     write_output(out, cfg, pools_to_dict(retrievals))
     sizes = ", ".join(f"{cat}:{len(r.pool)}" for cat, r in sorted(retrievals.items()))
@@ -243,20 +246,12 @@ def cmd_retrieve(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
 @stage_command
 def cmd_assemble(args, cfg: RunConfig, taxonomy: Taxonomy) -> int:
     out_dir = _out_dir(args, cfg)
-    retrievals = pools_from_dict(read_doc(out_dir / "pools.json"))
-    judge = build_judge(
-        effective_judge_spec(args.judge, cfg.judge_spec),
-        cfg.root,
-        effective_timeout(),
-    )
-    result = run_assembly(
-        retrievals,
-        judge,
-        cfg.budget,
-        taxonomy=taxonomy,
-        body_category=cfg.body_category,
-        gate_k=cfg.retrieval.gate_k,
-    )
+    doc = check_doc(read_doc(out_dir / "pools.json"), OUTPUT_SCHEMA_VERSION, "pools.json")
+    pools = pools_from_dict(doc, taxonomy)
+    spec = effective_judge_spec(args.judge, cfg.judge_spec)
+    judge = build_judge(spec, cfg.root, effective_timeout())
+    result = run_assembly(pools, judge, cfg.budget, taxonomy=taxonomy,
+                          body_category=cfg.body_category, gate_k=cfg.retrieval.gate_k)
     out = out_dir / "look.json"
     write_output(out, cfg, result.to_dict())
     print(f"winner {result.winner.look_id} ({result.winner.status}) -> {out}")

@@ -9,13 +9,13 @@ crop from a failed detection instead of guessing from missing fields.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import VIEWS, Taxonomy, read_doc, write_doc
-from .errors import MissingTextPriorError, NoViewsAvailableError
+from .catalog import VIEWS, Taxonomy, at, check, check_doc, need, read_doc, write_doc
+from .errors import MissingTextPriorError, NoViewsAvailableError, PipelineError
 from .vecmath import as_vector
 
 logger = logging.getLogger(__name__)
@@ -30,7 +30,7 @@ class PartEvidence:
     """Evidence for one category's part.
 
     ``valid`` and ``fallback_keyword`` statuses require an embedding;
-    ``failed`` must carry none.
+    ``failed`` must carry none. A refusal's message starts with its field.
     """
 
     category_id: str
@@ -39,13 +39,11 @@ class PartEvidence:
 
     def __post_init__(self) -> None:
         if self.status not in PART_STATUSES:
-            raise ValueError(f"unknown part status {self.status!r}")
-        if self.status == "failed":
-            if self.embedding is not None:
-                raise ValueError("failed part evidence cannot carry an embedding")
-        else:
-            if self.embedding is None:
-                raise ValueError(f"{self.status} part evidence requires an embedding")
+            raise ValueError(f"status must be one of {', '.join(PART_STATUSES)}, "
+                             f"got {self.status!r}")
+        if (self.status == "failed") != (self.embedding is None):
+            wanted = "null" if self.status == "failed" else "given"
+            raise ValueError(f"embedding must be {wanted} for a {self.status} part")
 
     @property
     def usable(self) -> bool:
@@ -76,11 +74,7 @@ class EvidenceStore:
 
     def add_part(self, part: PartEvidence) -> None:
         if part.embedding is not None:
-            part = PartEvidence(
-                category_id=part.category_id,
-                status=part.status,
-                embedding=self._check_dim(part.embedding),
-            )
+            part = replace(part, embedding=self._check_dim(part.embedding))
         self._parts[part.category_id] = part
 
     def add_text_prior(self, category_id: str, embedding) -> None:
@@ -98,10 +92,6 @@ class EvidenceStore:
     def part(self, category_id: str) -> PartEvidence | None:
         return self._parts.get(category_id)
 
-    @property
-    def parts(self) -> dict[str, PartEvidence]:
-        return dict(self._parts)
-
     def text_prior(self, category_id: str) -> np.ndarray:
         try:
             return self._text_priors[category_id]
@@ -110,9 +100,21 @@ class EvidenceStore:
                 f"no text prior for category {category_id!r}"
             ) from None
 
-    @property
-    def text_priors(self) -> dict[str, np.ndarray]:
-        return dict(self._text_priors)
+    def to_dict(self) -> dict:
+        """The evidence file body."""
+        return {
+            "schema_version": EVIDENCE_SCHEMA_VERSION,
+            "views": {v: [float(x) for x in self._views[v]] for v in self.available_views},
+            "parts": [
+                {
+                    "category_id": p.category_id,
+                    "status": p.status,
+                    "embedding": None if p.embedding is None else [float(x) for x in p.embedding],
+                }
+                for _, p in sorted(self._parts.items())
+            ],
+            "text_priors": {c: [float(x) for x in v] for c, v in sorted(self._text_priors.items())},
+        }
 
 
 def select_view(
@@ -160,54 +162,47 @@ def resolve_part_or_global(category_id: str, store: EvidenceStore) -> np.ndarray
 
 
 def save_evidence(store: EvidenceStore, path: str | Path) -> None:
-    doc = {
-        "schema_version": EVIDENCE_SCHEMA_VERSION,
-        "views": {v: [float(x) for x in store.view_embedding(v)]
-                  for v in store.available_views},
-        "parts": [
-            {
-                "category_id": p.category_id,
-                "status": p.status,
-                "embedding": None
-                if p.embedding is None
-                else [float(x) for x in p.embedding],
-            }
-            for _, p in sorted(store.parts.items())
-        ],
-        "text_priors": {
-            c: [float(x) for x in v] for c, v in sorted(store.text_priors.items())
-        },
-    }
-    write_doc(path, doc)
+    write_doc(path, store.to_dict())
 
 
 def load_evidence(path: str | Path) -> EvidenceStore:
-    """Read an evidence file. Keys the format does not define, such as the
-    ``prompt_text`` and per-part ``source_view`` that older files carry, are
-    ignored."""
-    doc = read_doc(path)
-    if not isinstance(doc, dict):
-        raise ValueError("evidence must be a JSON object")
-    version = doc.get("schema_version", EVIDENCE_SCHEMA_VERSION)
-    if version != EVIDENCE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported evidence schema version {version!r}")
-    views, parts, priors = doc.get("views", {}), doc.get("parts", []), doc.get("text_priors", {})
-    if not isinstance(views, dict) or not isinstance(priors, dict):
-        raise ValueError("evidence views and text_priors must be objects")
-    if not isinstance(parts, list) or not all(isinstance(e, dict) for e in parts):
-        raise ValueError("evidence parts must be a list of objects")
+    """Read an evidence file; a refusal names the file and the key. Keys the
+    format does not define, such as the ``prompt_text`` and per-part
+    ``source_view`` of older files, are ignored."""
+    name = Path(path).name
+    doc = check_doc(read_doc(path), EVIDENCE_SCHEMA_VERSION, name)
     store = EvidenceStore()
-    for view, emb in views.items():
-        store.add_view(view, emb)
-    for entry in parts:
-        emb = entry.get("embedding")
-        store.add_part(
-            PartEvidence(
-                category_id=entry["category_id"],
-                status=entry["status"],
-                embedding=None if emb is None else np.asarray(emb, dtype=np.float64),
-            )
-        )
-    for cid, emb in priors.items():
-        store.add_text_prior(cid, emb)
+    for view, emb in check(doc.get("views", {}), dict, at(name, "views")).items():
+        where = at(name, "views", view)
+        _add(where, store.add_view, view, _vector(emb, where))
+    for i, entry in enumerate(check(doc.get("parts", []), list, at(name, "parts"))):
+        where = at(name, "parts", i)
+        cid = need(check(entry, dict, where), "category_id", str, where)
+        status, emb = need(entry, "status", str, where), entry.get("embedding")
+        emb = None if emb is None else _vector(emb, at(where, "embedding"))
+        try:
+            part = PartEvidence(cid, status, emb)
+        except ValueError as exc:  # its message starts with the field's name
+            raise ValueError(f"{where}.{exc}") from exc
+        _add(at(where, "embedding"), store.add_part, part)
+    for cid, emb in check(doc.get("text_priors", {}), dict, at(name, "text_priors")).items():
+        where = at(name, "text_priors", cid)
+        _add(where, store.add_text_prior, cid, _vector(emb, where))
     return store
+
+
+def _vector(value, path: str) -> np.ndarray:
+    """A JSON list of numbers as a float64 array; numpy converts it, so ``true`` reads as 1."""
+    check(value, list, path)
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path} must be a list of numbers: {exc}") from None
+
+
+def _add(path: str, add, *args) -> None:
+    """``add(*args)``; a refusal is raised again, same type, naming ``path``."""
+    try:
+        add(*args)
+    except (ValueError, PipelineError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -31,7 +31,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from .catalog import read_doc
+from .catalog import at, check, read_doc
 from .errors import JudgeUnavailableError
 
 logger = logging.getLogger(__name__)
@@ -57,17 +57,17 @@ class ScriptedSource:
     """Replays pre-written responses, one queue per operation."""
 
     def __init__(self, responses: dict | str | Path):
+        name = "judge script"
         if isinstance(responses, (str, Path)):
-            responses = read_doc(responses)
-        if not isinstance(responses, dict):
-            raise ValueError("scripted responses must be a JSON object")
-        self._cycle = bool(responses.get("cycle", False))
+            name, responses = Path(responses).name, read_doc(responses)
+        check(responses, dict, name)
+        self._cycle = check(responses.get("cycle", False), bool, at(name, "cycle"))
         self._queues: dict[str, list] = {}
         for op, seq in responses.items():
             if op == "cycle":
                 continue
             if op not in JUDGE_OPS:
-                raise ValueError(f"unknown judge operation {op!r} in script")
+                raise ValueError(f"{at(name, op)} is not a judge operation")
             self._queues[op] = list(seq) if isinstance(seq, list) else [seq]
         self.calls: list[tuple[str, dict]] = []
 

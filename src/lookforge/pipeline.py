@@ -62,7 +62,7 @@ class PipelineResult(AssemblyResult):
 
 
 def run_retrieval(
-    plan: RoutingPlan,
+    target_categories: tuple[str, ...],
     catalog: AssetCatalog,
     store: EvidenceStore,
     cfg: RetrievalConfig,
@@ -78,12 +78,12 @@ def run_retrieval(
     subspaces = estimate_subspaces(catalog, subspace_params)
     return {
         cat: retrieve_category(cat, catalog, store, subspaces, cfg)
-        for cat in plan.target_categories
+        for cat in target_categories
     }
 
 
 def run_assembly(
-    retrievals: dict[str, CategoryRetrieval],
+    pools: dict[str, list[Candidate]],
     judge,
     budget: GenerationBudget,
     *,
@@ -91,12 +91,11 @@ def run_assembly(
     body_category: str | None,
     gate_k: int,
 ) -> AssemblyResult:
-    """Gate, assemble, refine and judge the pooled candidates. A
+    """Gate, assemble, refine and judge each category's pooled candidates. A
     ``body_category`` the taxonomy does not declare raises
     :class:`UnknownCategoryError`."""
     if body_category is not None and body_category not in taxonomy.categories:
         raise UnknownCategoryError(f"body_category {body_category!r} is not a taxonomy category")
-    pools = {cat: r.pool for cat, r in retrievals.items()}
     filtered, warnings = filter_pools(pools, judge, gate_k)
     base = assemble_initial(filtered, judge, taxonomy=taxonomy, body_category=body_category)
     candidates = generate_candidates(
@@ -125,13 +124,9 @@ def run_pipeline(
     if taxonomy != catalog.taxonomy:
         raise ValueError("taxonomy differs from the catalog's taxonomy")
     plan = route(prompt, taxonomy, advisor=advisor)
-    retrievals = run_retrieval(plan, catalog, store, retrieval_cfg, subspace_params)
-    assembly = run_assembly(
-        retrievals,
-        judge,
-        budget,
-        taxonomy=taxonomy,
-        body_category=body_category,
-        gate_k=retrieval_cfg.gate_k,
-    )
+    targets = plan.target_categories
+    retrievals = run_retrieval(targets, catalog, store, retrieval_cfg, subspace_params)
+    pools = {cat: r.pool for cat, r in retrievals.items()}
+    assembly = run_assembly(pools, judge, budget, taxonomy=taxonomy,
+                            body_category=body_category, gate_k=retrieval_cfg.gate_k)
     return PipelineResult(**vars(assembly), plan=plan, retrievals=retrievals)

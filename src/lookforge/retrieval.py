@@ -23,12 +23,13 @@ single branches over one category of the catalog.
 from __future__ import annotations
 
 import logging
-import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .catalog import AssetCatalog
+from .catalog import AssetCatalog, Taxonomy, at, check, need
+from .errors import UnknownCategoryError
 from .evidence import EvidenceStore, resolve_part_or_global, select_view
 from .vecmath import fuse, normalize, suppress
 
@@ -78,20 +79,20 @@ class Candidate:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> Candidate:
-        """Parse one pools.json entry, checking each field's type; nothing
-        is coerced. ``bundle_id`` is required, string or null."""
-        asset_id, score, source = doc["asset_id"], doc["score"], doc["source"]
-        bundle_id = doc["bundle_id"]
-        if not isinstance(asset_id, str) or not asset_id:
-            raise ValueError(f"asset_id must be a non-empty string, got {asset_id!r}")
-        number = isinstance(score, (int, float)) and not isinstance(score, bool)
-        if not number or not math.isfinite(score):
-            raise ValueError(f"score must be a finite number, got {score!r}")
+    def from_dict(cls, doc: dict, where: str) -> Candidate:
+        """Parse the pools.json entry at ``where``; nothing is coerced, and
+        ``bundle_id`` is required, a string or null."""
+        check(doc, dict, where)
+        asset_id, source = need(doc, "asset_id", str, where), need(doc, "source", str, where)
+        score = need(doc, "score", (int, float), where)
+        bundle_id = need(doc, "bundle_id", (str, type(None)), where)
+        if not asset_id:
+            raise ValueError(f"{at(where, 'asset_id')} must not be empty")
+        # NaN, the infinities and integers beyond float range fail
+        if not -sys.float_info.max <= score <= sys.float_info.max:
+            raise ValueError(f"{at(where, 'score')} must be a finite number, got {score!r}")
         if source not in ("part", "concept_residual", "both"):
-            raise ValueError(f"source must be part, concept_residual or both, got {source!r}")
-        if bundle_id is not None and not isinstance(bundle_id, str):
-            raise ValueError(f"bundle_id must be a string or null, got {bundle_id!r}")
+            raise ValueError(f"{at(where, 'source')} must be part, concept_residual or both")
         return cls(asset_id, float(score), source, bundle_id)
 
 
@@ -113,35 +114,23 @@ class CategoryRetrieval:
         doc["pool"] = [c.to_dict() for c in self.pool]
         return doc
 
-    @classmethod
-    def from_dict(cls, category_id: str, doc: dict) -> CategoryRetrieval:
-        pool = []
-        for i, entry in enumerate(doc["pool"]):
-            try:
-                pool.append(Candidate.from_dict(entry))
-            except KeyError as exc:
-                raise ValueError(f"pool entry {i} has no key {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"pool entry {i}: {exc}") from exc
-        return cls(category_id, **{**doc, "pool": pool})
-
 
 def pools_to_dict(retrievals: dict[str, CategoryRetrieval]) -> dict:
     """The pools.json body: one entry per routed category."""
     return {"pools": {cat: r.to_dict() for cat, r in retrievals.items()}}
 
 
-def pools_from_dict(doc: dict) -> dict[str, CategoryRetrieval]:
-    """Parse a pools.json body; a malformed entry raises ValueError naming it."""
-    if not isinstance(doc["pools"], dict):
-        raise ValueError("pools.json 'pools' must be an object keyed by category; re-run retrieve")
-    out = {}
-    for cat, entry in doc["pools"].items():
-        try:
-            out[cat] = CategoryRetrieval.from_dict(cat, entry)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"pools.json category {cat!r}: {exc}; re-run retrieve") from exc
-    return out
+def pools_from_dict(doc: dict, taxonomy: Taxonomy) -> dict[str, list[Candidate]]:
+    """Each category's pool from a pools.json document, the one key per
+    category that ``assemble`` reads; each must be a taxonomy category."""
+    pools = {}
+    for cat, entry in need(doc, "pools", dict, "pools.json").items():
+        where = at("pools.json", "pools", cat)
+        if cat not in taxonomy.categories:
+            raise UnknownCategoryError(f"{where}: {cat!r} is not a taxonomy category")
+        pool = need(check(entry, dict, where), "pool", list, where)
+        pools[cat] = [Candidate.from_dict(c, at(where, "pool", i)) for i, c in enumerate(pool)]
+    return pools
 
 
 def retrieve_part(

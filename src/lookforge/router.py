@@ -11,8 +11,9 @@ import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .catalog import Taxonomy, excluded_by, read_doc, write_doc
-from .errors import JudgeUnavailableError
+from .catalog import Taxonomy, at, check, check_doc, excluded_by, need, read_doc, strings
+from .catalog import write_doc
+from .errors import JudgeUnavailableError, UnknownCategoryError
 
 logger = logging.getLogger(__name__)
 
@@ -63,34 +64,19 @@ class PromptSpec:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> PromptSpec:
-        if not isinstance(doc, dict):
-            raise ValueError("prompt must be a JSON object")
-        version = doc.get("schema_version", PROMPT_SCHEMA_VERSION)
-        if version != PROMPT_SCHEMA_VERSION:
-            raise ValueError(f"unsupported prompt schema version {version!r}")
-        concepts = doc.get("concepts", [])
-        if not isinstance(concepts, list):
-            raise ValueError(f"prompt concepts must be a list, got {concepts!r}")
-        return cls(
-            text=str(doc.get("text", "")),
-            concepts=tuple(_concept_from_dict(c) for c in concepts),
-        )
-
-
-def _concept_from_dict(doc: dict) -> Concept:
-    if not isinstance(doc, dict):
-        raise ValueError(f"prompt concept must be an object, got {doc!r}")
-    noun, modifiers = doc.get("noun"), doc.get("modifiers", [])
-    if not isinstance(noun, str):
-        raise ValueError(f"concept noun must be a string, got {noun!r}")
-    if not isinstance(modifiers, list) or not all(isinstance(m, str) for m in modifiers):
-        raise ValueError(f"concept modifiers must be a list of strings, got {modifiers!r}")
-    return Concept(noun=noun, modifiers=tuple(modifiers))
+    def from_dict(cls, doc: dict, name: str) -> PromptSpec:
+        """Parse the prompt document ``name``; a refusal is a ValueError naming it and the key."""
+        check_doc(doc, PROMPT_SCHEMA_VERSION, name)
+        concepts = []
+        for i, c in enumerate(check(doc.get("concepts", []), list, at(name, "concepts"))):
+            where = at(name, "concepts", i)
+            noun = need(check(c, dict, where), "noun", str, where)
+            concepts.append(Concept(noun, strings(c.get("modifiers", []), at(where, "modifiers"))))
+        return cls(check(doc.get("text", ""), str, at(name, "text")), tuple(concepts))
 
 
 def load_prompt(path: str | Path) -> PromptSpec:
-    return PromptSpec.from_dict(read_doc(path))
+    return PromptSpec.from_dict(read_doc(path), Path(path).name)
 
 
 def save_prompt(spec: PromptSpec, path: str | Path) -> None:
@@ -135,39 +121,22 @@ class RoutingPlan:
             "warnings": list(self.warnings),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> RoutingPlan:
-        if not isinstance(doc, dict) or not isinstance(doc.get("target_categories"), list):
-            raise ValueError("routing plan needs a 'target_categories' list; re-run route")
-        provenance = doc.get("provenance", {})
-        if not isinstance(provenance, dict):
-            raise ValueError("routing plan 'provenance' must be an object; re-run route")
-        exclusions = doc.get("resolved_exclusions", [])
-        if not isinstance(exclusions, list) or not all(isinstance(r, dict) for r in exclusions):
-            raise ValueError("routing plan 'resolved_exclusions' must list objects; re-run route")
-        return cls(
-            target_categories=tuple(doc["target_categories"]),
-            provenance={str(k): str(v) for k, v in provenance.items()},
-            resolved_exclusions=[
-                ExclusionResolution(
-                    group=tuple(r.get("group", [])),
-                    kept=str(r.get("kept", "")),
-                    dropped=tuple(r.get("dropped", [])),
-                    reason=str(r.get("reason", "")),
-                )
-                for r in exclusions
-            ],
-            warnings=[str(w) for w in doc.get("warnings", [])],
-        )
-
 
 def plan_to_dict(plan: RoutingPlan) -> dict:
     """The plan.json body."""
     return {"plan": plan.to_dict()}
 
 
-def plan_from_dict(doc: dict) -> RoutingPlan:
-    return RoutingPlan.from_dict(doc["plan"])
+def plan_targets(doc: dict, taxonomy: Taxonomy) -> tuple[str, ...]:
+    """The routed categories of a plan.json document, the one key of it that
+    ``retrieve`` reads; each must be a taxonomy category."""
+    plan = need(doc, "plan", dict, "plan.json")
+    targets = need(plan, "target_categories", strings, "plan.json: plan")
+    for cat in targets:
+        if cat not in taxonomy.categories:
+            raise UnknownCategoryError(f"plan.json: plan.target_categories: {cat!r} is not a "
+                                       "taxonomy category")
+    return targets
 
 
 def match_concept_key(noun: str, concept_map: dict[str, tuple[str, ...]]) -> str | None:

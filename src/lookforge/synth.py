@@ -381,7 +381,7 @@ def generate_pipeline_scenario(out_dir, seed: int = 0) -> dict:
         store.add_part(PartEvidence(category_id="body", status="failed"))
 
         plan = route(prompt, taxonomy)
-        retrievals = run_retrieval(plan, catalog, store, RetrievalConfig())
+        retrievals = run_retrieval(plan.target_categories, catalog, store, RetrievalConfig())
         recovered = all(
             retrievals[cid].pool and retrievals[cid].pool[0].asset_id == planted[cid]
             for cid in planted

@@ -16,7 +16,7 @@ from lookforge.catalog import Taxonomy
 from lookforge.errors import JudgeUnavailableError, MissingCoreCategoryError
 from lookforge.judge import JudgeClient, ScriptedSource
 from lookforge.pipeline import run_assembly
-from lookforge.retrieval import Candidate, CategoryRetrieval
+from lookforge.retrieval import Candidate
 from lookforge.router import Concept, PromptSpec, route
 
 TAXONOMY = Taxonomy(
@@ -33,9 +33,6 @@ BUNDLES = {aid: f"bundle-{aid}" for aid in IDS["body"]}
 POOLS = {
     cat: [Candidate(aid, 1.0 - 0.1 * i, "part", BUNDLES.get(aid)) for i, aid in enumerate(ids)]
     for cat, ids in IDS.items()
-}
-RETRIEVALS = {
-    cat: CategoryRetrieval(cat, pool, True, False, "front") for cat, pool in POOLS.items()
 }
 GATE_K = 3
 # Caps as large as the slate: no judge answer can make the slate
@@ -121,7 +118,7 @@ advisor_answers = answers(
 def test_run_assembly_degrades_or_raises_unavailable(script):
     try:
         result = run_assembly(
-            RETRIEVALS, JudgeClient(ScriptedSource(script)), BUDGET,
+            POOLS, JudgeClient(ScriptedSource(script)), BUDGET,
             taxonomy=TAXONOMY, body_category="body", gate_k=GATE_K,
         )
     except JudgeUnavailableError:

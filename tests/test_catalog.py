@@ -270,6 +270,44 @@ def test_taxonomy_load_rejects_invalid(tmp_path):
         load_taxonomy(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("exclusion_groups", [["jacket", "jacket"]]),
+    ("required_core", ["body", "body"]),
+    ("concept_map", {"hoodie": ["sweater", "sweater"]}),
+], ids=["group", "required_core", "concept"])
+def test_taxonomy_refuses_a_repeated_id(tmp_path, key, value):
+    # a group listing one category twice would "resolve" a conflict that
+    # drops nothing
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps({**make_taxonomy().to_dict(), key: value}))
+    with pytest.raises(InvalidTaxonomyError, match="^tax.json: duplicate category id in "):
+        load_taxonomy(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("categories", "ab"),
+    ("required_core", "ab"),
+    ("exclusion_groups", {}),
+    ("concept_map", {"x": "a"}),
+    ("view_map", {"a": "front"}),
+], ids=["categories", "required_core", "exclusion_groups", "concept", "views"])
+def test_taxonomy_refuses_a_string_or_object_where_a_list_belongs(tmp_path, key, value):
+    # "required_core": "ab" would otherwise read as the two categories a and b
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps({"categories": ["a", "b"], key: value}))
+    with pytest.raises(InvalidTaxonomyError, match=f"^tax.json: {key}.* must be a list, got "):
+        load_taxonomy(path)
+
+
+def test_taxonomy_refuses_schema_version_true(tmp_path):
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps({"schema_version": True, "categories": ["a"]}))
+    with pytest.raises(
+        InvalidTaxonomyError, match="^tax.json: schema_version must be an integer, got True$"
+    ):
+        load_taxonomy(path)
+
+
 def test_failed_write_keeps_previous_document(tmp_path):
     path = tmp_path / "doc.json"
     write_doc(path, {"a": 1})

@@ -375,8 +375,7 @@ class TestStageCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "assemble.InvalidValue"
         message = err["error"]["message"]
-        assert message.startswith("pools.json category 'body': pool entry 0")
-        assert "bundle_id" in message and message.endswith("re-run retrieve")
+        assert message.startswith("pools.json: pools.body.pool[0].bundle_id")
 
     @pytest.mark.parametrize("key, bad", [
         ("asset_id", None), ("source", 7), ("score", True),
@@ -392,33 +391,70 @@ class TestStageCommands:
         assert main(["assemble", "--config", str(root / "config.json")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "assemble.InvalidValue"
-        assert err["error"]["message"].startswith(
-            f"pools.json category 'body': pool entry 0: {key} must be"
-        )
+        assert err["error"]["message"].startswith(f"pools.json: pools.body.pool[0].{key} must be")
 
-    @pytest.mark.parametrize("document, keys, bad", [
-        ("plan.json", ("plan",), ["body"]),
-        ("plan.json", ("plan", "provenance"), ["body"]),
-        ("plan.json", ("plan", "resolved_exclusions"), [7]),
-        ("pools.json", ("pools",), []),
-    ], ids=["plan", "provenance", "resolved_exclusions", "pools"])
+    @pytest.mark.parametrize("document, key, bad", [
+        ("plan.json", "plan", ["body"]),
+        ("pools.json", "pools", []),
+    ], ids=["plan", "pools"])
     def test_stage_document_of_wrong_shape_is_invalid_value(
-        self, demo, tmp_path, capsys, document, keys, bad
+        self, demo, tmp_path, capsys, document, key, bad
     ):
-        stage, rerun = (
-            ("retrieve", "re-run route") if document == "plan.json"
-            else ("assemble", "re-run retrieve")
-        )
+        stage = "retrieve" if document == "plan.json" else "assemble"
         root = tmp_path / "bad-shape"
         shutil.copytree(demo, root)
         path = root / "output" / document
         doc = json.loads(path.read_text())
-        (doc if len(keys) == 1 else doc[keys[0]])[keys[-1]] = bad
+        doc[key] = bad
         path.write_text(json.dumps(doc))
         assert main([stage, "--config", str(root / "config.json")]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == f"{stage}.InvalidValue"
-        assert err["message"].endswith(rerun)
+        assert err["message"] == f"{document}: {key} must be an object, got {bad!r}"
+
+    @pytest.mark.parametrize("document, stage", [
+        ("plan.json", "retrieve"), ("pools.json", "assemble"),
+    ])
+    def test_stage_document_naming_an_undeclared_category_is_refused(
+        self, demo, tmp_path, capsys, document, stage
+    ):
+        # a plan or pools entry "foo" copied from the jacket's would be
+        # searched or assembled as a category of its own
+        root = tmp_path / "undeclared"
+        shutil.copytree(demo, root)
+        path = root / "output" / document
+        doc = json.loads(path.read_text())
+        if document == "plan.json":
+            doc["plan"]["target_categories"].append("foo")
+        else:
+            doc["pools"]["foo"] = doc["pools"]["jacket"]
+        path.write_text(json.dumps(doc))
+        output = root / "output" / ("pools.json" if stage == "retrieve" else "look.json")
+        output.unlink()
+        assert main([stage, "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == f"{stage}.UnknownCategory"
+        assert "foo" in err["message"]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("document, stage", [
+        ("config.json", "route"),
+        ("taxonomy.json", "route"),
+        ("prompt.json", "route"),
+        ("output/plan.json", "retrieve"),
+        ("evidence.json", "retrieve"),
+        ("output/pools.json", "assemble"),
+        ("judge.json", "assemble"),
+    ])
+    def test_malformed_json_names_its_file(self, demo, tmp_path, capsys, document, stage):
+        root = tmp_path / "truncated"
+        shutil.copytree(demo, root)
+        path = root / document
+        path.write_text(path.read_text()[:1])
+        assert main([stage, "--config", str(root / "config.json")]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == f"{stage}.InvalidJson"
+        assert err["message"].startswith(f"{path}: Expecting property name")
 
     @pytest.mark.parametrize("document, reshape, stage, code", [
         ("evidence.json", lambda d: {**d, "views": list(d["views"].values())},

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lookforge.errors import (
     DimensionMismatchError,
     MissingTextPriorError,
     NoViewsAvailableError,
+    PipelineError,
 )
 from lookforge.evidence import (
     EvidenceStore,
@@ -137,3 +140,24 @@ def test_evidence_load_rejects_unknown_schema(tmp_path):
     path.write_text('{"schema_version": 42}')
     with pytest.raises(ValueError):
         load_evidence(path)
+
+
+@pytest.mark.parametrize("part, message", [
+    ({"status": "failed"}, "evidence.json: parts[0].category_id is missing"),
+    ({"category_id": 7, "status": "failed"},
+     "evidence.json: parts[0].category_id must be a string, got 7"),
+    ({"category_id": "hat", "status": "failed", "embedding": [1.0, 0.0, 0.0]},
+     "evidence.json: parts[0].embedding must be null for a failed part"),
+    ({"category_id": "hat", "status": "valid", "embedding": ["x", 0.0, 0.0]},
+     "evidence.json: parts[0].embedding must be a list of numbers: "),
+    ({"category_id": "hat", "status": "valid", "embedding": [1.0, 0.0]},
+     "evidence.json: parts[0].embedding: expected dimension 3, got 2"),
+], ids=["no_category", "number_category", "failed_with_embedding", "string_entry", "short"])
+def test_evidence_load_names_the_bad_part_key(tmp_path, part, message):
+    # a part whose category_id is a number was ignored, one without it
+    # failed with the bare key 'category_id', and a short one named no key
+    path = tmp_path / "evidence.json"
+    path.write_text(json.dumps({"views": {"front": [1.0, 0.0, 0.0]}, "parts": [part]}))
+    with pytest.raises((ValueError, PipelineError)) as info:
+        load_evidence(path)
+    assert str(info.value).startswith(message)

@@ -68,13 +68,13 @@ def test_preloaded_indices_match_built_ones(tmp_path, scenario):
     plan = route(prompt, taxonomy)
     cfg = RetrievalConfig()
 
-    built = run_retrieval(plan, catalog, store, cfg)
+    built = run_retrieval(plan.target_categories, catalog, store, cfg)
 
     sources = {"taxonomy": tmp_path / "taxonomy.json"}
     save_taxonomy(taxonomy, sources["taxonomy"])
     write_doc(tmp_path / MANIFEST_FILE, save_index_dir(catalog, tmp_path, sources))
     reloaded = load_index_dir(tmp_path, taxonomy, sources)
-    via_index_dir = run_retrieval(plan, reloaded, store, cfg)
+    via_index_dir = run_retrieval(plan.target_categories, reloaded, store, cfg)
 
     for cat in plan.target_categories:
         assert built[cat].pool == via_index_dir[cat].pool
@@ -87,7 +87,7 @@ def test_suppression_uses_unrouted_categories(scenario):
     narrow = PromptSpec(text="a scout in a cap", concepts=(Concept("cap", ()),))
     plan = route(narrow, taxonomy)
     assert plan.target_categories == ("hat",)
-    rets = run_retrieval(plan, catalog, store, RetrievalConfig())
+    rets = run_retrieval(plan.target_categories, catalog, store, RetrievalConfig())
     assert rets["hat"].pool[0].asset_id == target
 
 
@@ -126,7 +126,7 @@ def test_second_taxonomy_is_refused(scenario):
         run_pipeline(catalog, other, store, prompt, JudgeClient(source))
     assert source.calls == []
     # an equal taxonomy that is another object is the same taxonomy
-    same = Taxonomy.from_dict(taxonomy.to_dict())
+    same = Taxonomy.from_dict(taxonomy.to_dict(), "taxonomy.json")
     assert run_pipeline(catalog, same, store, prompt, JudgeClient(source)).winner
 
 
@@ -135,9 +135,9 @@ def test_subspace_params_flow_through(scenario):
     plan = route(prompt, taxonomy)
     # rank 1 subspaces suppress less; the call must still succeed and the
     # two settings must be distinguishable in at least one pool
-    full = run_retrieval(plan, catalog, store, RetrievalConfig())
+    full = run_retrieval(plan.target_categories, catalog, store, RetrievalConfig())
     skinny = run_retrieval(
-        plan, catalog, store, RetrievalConfig(),
+        plan.target_categories, catalog, store, RetrievalConfig(),
         subspace_params=SubspaceParams(rank=1),
     )
     assert any(
@@ -156,7 +156,6 @@ import numpy as np
 from lookforge.evidence import EvidenceStore, PartEvidence
 from lookforge.pipeline import run_retrieval
 from lookforge.retrieval import RetrievalConfig, pools_to_dict
-from lookforge.router import RoutingPlan
 from lookforge.synth import CategorySpec, SynthSpec, generate_catalog
 from lookforge.vecmath import normalize
 
@@ -171,8 +170,7 @@ for c in cats:
     store.add_text_prior(c, normalize(catalog.embedding_matrix(c)[1].mean(axis=0)))
 part = normalize(picks[0] + 0.1 * rng.standard_normal(128))
 store.add_part(PartEvidence("c0", "valid", part))
-plan = RoutingPlan(cats, {})
-pools = run_retrieval(plan, catalog, store, RetrievalConfig())
+pools = run_retrieval(cats, catalog, store, RetrievalConfig())
 print(json.dumps(pools_to_dict(pools), sort_keys=True))
 """
 

@@ -244,6 +244,7 @@ def test_retrieve_category_failed_part_uses_global_only():
 
 
 def test_pools_document_round_trip():
+    # assemble reads each category's pool back; the diagnostics are written only
     catalog, store, subs = category_fixture(with_part=True)
     top = retrieve_category("top", catalog, store, subs, RetrievalConfig(branch_k=2))
     legs = CategoryRetrieval(
@@ -251,30 +252,31 @@ def test_pools_document_round_trip():
     )
     retrievals = {"top": top, "legs": legs}
     doc = json.loads(json.dumps(pools_to_dict(retrievals)))
-    assert pools_from_dict(doc) == retrievals
+    taxonomy = Taxonomy(categories=("legs", "top"))
+    assert pools_from_dict(doc, taxonomy) == {"top": top.pool, "legs": legs.pool}
 
 
 @pytest.mark.parametrize(
     "entry, detail",
-    [({"asset_id": "l1", "score": 0.5, "source": "part"}, " has no key 'bundle_id'"),
+    [({"asset_id": "l1", "score": 0.5, "source": "part"}, ".bundle_id is missing"),
      ({"asset_id": "l1", "score": 0.5, "source": "part", "bundle_id": 5},
-      ": bundle_id must be a string or null"),
+      ".bundle_id must be a string or null"),
      ({"asset_id": None, "score": 0.5, "source": "part", "bundle_id": None},
-      ": asset_id must be a non-empty string"),
+      ".asset_id must be a string"),
      ({"asset_id": ["a"], "score": 0.5, "source": "part", "bundle_id": None},
-      ": asset_id must be a non-empty string"),
+      ".asset_id must be a string"),
      ({"asset_id": "", "score": 0.5, "source": "part", "bundle_id": None},
-      ": asset_id must be a non-empty string"),
-     ({"asset_id": "l1", "score": 0.5, "source": 7, "bundle_id": None}, ": source must be"),
-     ({"asset_id": "l1", "score": 0.5, "source": "text", "bundle_id": None}, ": source must be"),
+      ".asset_id must not be empty"),
+     ({"asset_id": "l1", "score": 0.5, "source": 7, "bundle_id": None}, ".source must be"),
+     ({"asset_id": "l1", "score": 0.5, "source": "text", "bundle_id": None}, ".source must be"),
      ({"asset_id": "l1", "score": True, "source": "part", "bundle_id": None},
-      ": score must be a finite number"),
+      ".score must be a number"),
      ({"asset_id": "l1", "score": "0.5", "source": "part", "bundle_id": None},
-      ": score must be a finite number"),
+      ".score must be a number"),
      ({"asset_id": "l1", "score": float("nan"), "source": "part", "bundle_id": None},
-      ": score must be a finite number"),
+      ".score must be a finite number"),
      ({"asset_id": "l1", "score": 10**400, "source": "part", "bundle_id": None},
-      ": int too large to convert to float")],
+      ".score must be a finite number")],
     ids=["missing", "number", "null_asset", "list_asset", "empty_asset", "number_source",
          "unknown_source", "bool_score", "string_score", "nan_score", "huge_score"],
 )
@@ -283,9 +285,8 @@ def test_pools_document_names_bad_entry(entry, detail):
     doc = json.loads(json.dumps(pools_to_dict({"legs": legs})))
     doc["pools"]["legs"]["pool"].append(entry)
     with pytest.raises(ValueError) as info:
-        pools_from_dict(doc)
-    assert str(info.value).startswith(f"pools.json category 'legs': pool entry 1{detail}")
-    assert str(info.value).endswith("; re-run retrieve")
+        pools_from_dict(doc, Taxonomy(categories=("legs",)))
+    assert str(info.value).startswith(f"pools.json: pools.legs.pool[1]{detail}")
 
 
 def test_retrieve_category_missing_text_prior():

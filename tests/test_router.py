@@ -7,7 +7,6 @@ from lookforge.errors import JudgeUnavailableError
 from lookforge.router import (
     Concept,
     PromptSpec,
-    RoutingPlan,
     load_prompt,
     match_concept_key,
     modifier_support,
@@ -171,17 +170,6 @@ def test_plan_to_dict_is_sorted():
     assert doc["target_categories"] == ["body", "hat", "pants"]
 
 
-def test_plan_without_target_categories_names_the_key():
-    # a plan with no target list would route nothing and pool nothing
-    spec = PromptSpec(text="x", concepts=(Concept("cap"),))
-    doc = route(spec, make_taxonomy()).to_dict()
-    assert RoutingPlan.from_dict(doc).target_categories == ("body", "hat")
-    for bad in ({k: v for k, v in doc.items() if k != "target_categories"},
-                {**doc, "target_categories": "hat"}):
-        with pytest.raises(ValueError, match="'target_categories'.*re-run route"):
-            RoutingPlan.from_dict(bad)
-
-
 def test_prompt_file_round_trip(tmp_path):
     spec = PromptSpec(
         text="an explorer", concepts=(Concept("hoodie", ("zip-up", "black")),)
@@ -209,4 +197,4 @@ def test_prompt_load_rejects_unknown_schema(tmp_path):
         "string_concept", "object_concepts"])
 def test_prompt_rejects_malformed_concepts(concepts):
     with pytest.raises(ValueError):
-        PromptSpec.from_dict({"text": "a hoodie", "concepts": concepts})
+        PromptSpec.from_dict({"text": "a hoodie", "concepts": concepts}, "prompt.json")
